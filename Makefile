@@ -29,7 +29,7 @@ race:
 # queue, the resource-budget accounting, the model registry, the
 # data-parallel training stack (neural/linreg worker pools, flat sample
 # tensors), the continuous profiler's capture ring, and the tenant-aware
-# planner catalog (single-flight loads, LRU eviction, micro-batching) —
+# planner catalog (single-flight loads, LRU eviction, per-entry locking) —
 # the packages with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...

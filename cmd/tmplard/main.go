@@ -106,8 +106,6 @@ func main() {
 		profEvery   = flag.Duration("profile-interval", 0, "continuous profiler: scheduled capture interval feeding /debug/prof (0 = disabled)")
 		profWindow  = flag.Duration("profile-window", 5*time.Second, "continuous profiler: CPU sampling window per capture")
 		catCap      = flag.Int("catalog-capacity", 0, "resident (grid, model) planner entries before LRU eviction (0 = default 8)")
-		batchWindow = flag.Duration("batch-window", 0, "micro-batch straggler wait per planner before executing a partial Decide batch (0 = no wait)")
-		batchMax    = flag.Int("batch-max", 0, "Decide tasks executed per micro-batch round (0 = default 8)")
 		version     = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
@@ -175,10 +173,7 @@ func main() {
 		SLOs:            sloSpecs,
 		ProfileInterval: *profEvery,
 		ProfileWindow:   *profWindow,
-
-		CatalogCapacity:    *catCap,
-		CatalogBatchWindow: *batchWindow,
-		CatalogMaxBatch:    *batchMax,
+		CatalogCapacity: *catCap,
 	})
 	if err != nil {
 		fatalf("%v", err)

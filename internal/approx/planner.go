@@ -56,8 +56,9 @@ type Planner struct {
 	// Per-decision scratch, reused across Decide calls so the steady-state
 	// planning path allocates nothing. A planner serves one mission at a
 	// time from one goroutine (experiments give every run its own planner;
-	// the service builds one per request), and clone() resets the scratch,
-	// so reuse is safe.
+	// the service keeps one per catalog entry and runs that entry's
+	// missions one at a time), and clone() resets the scratch, so reuse is
+	// safe.
 	blocked   grid.NodeSet
 	blockedFn func(grid.NodeID) bool // cached p.blocked.Has method value
 	ballSeen  grid.NodeSet
@@ -122,11 +123,11 @@ func NewPlannerOpts(model Model, ext features.Extractor, seed int64, opts Option
 // produce while keeping every allocated scratch buffer: the watchdog maps
 // are cleared in place, the rng is reseeded (identical sequence to a fresh
 // source), the navigator's mission memory is dropped, and any per-request
-// budget or destination hint is detached. A serving layer can therefore pool
-// one planner per (grid, model) pair and reuse it across missions — decisions
-// after Reset(seed) are byte-identical to a freshly constructed planner's —
-// without re-allocating the NodeSet stamps and feature buffers that dominate
-// construction cost on large grids.
+// budget or destination hint is detached. The serving catalog therefore keeps
+// one planner per (grid, model) entry and Resets it before each mission it
+// runs — decisions after Reset(seed) are byte-identical to a freshly
+// constructed planner's — without re-allocating the NodeSet stamps and
+// feature buffers that dominate construction cost on large grids.
 func (p *Planner) Reset(seed int64) {
 	clear(p.prevPos)
 	clear(p.lastSensed)

@@ -2,15 +2,15 @@
 // (grid, model) pairs on demand, keeps an LRU-bounded cache of fully-loaded
 // planner entries, deduplicates concurrent loads of the same key
 // (single-flight: one training/registry load no matter how many requests
-// race), ref-counts entries so an in-use planner is never torn down
-// mid-Decide, and micro-batches concurrent Decide calls against the same
-// planner so shared inference scratch is reused safely.
+// race), and ref-counts entries so an in-use planner is never torn down
+// mid-mission. Each entry owns one planner behind a mutex: Entry.Do calls on
+// one entry run one at a time, so the planner's inference scratch is reused
+// safely across missions.
 //
-// Determinism contract: every task executed through Entry.Do runs on the
-// entry's pooled planner after Planner.Reset(seed), and tasks within a batch
-// run serially. A plan computed through the catalog is therefore
-// byte-identical to one computed on a freshly constructed planner with the
-// same seed, regardless of how requests happen to be batched together.
+// Determinism contract: every fn run through Entry.Do gets the entry's
+// planner after Planner.Reset(seed). A plan computed through the catalog is
+// therefore byte-identical to one computed on a freshly constructed planner
+// with the same seed, however concurrent requests interleave.
 package catalog
 
 import (
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/approx"
@@ -72,18 +71,13 @@ type Options struct {
 	// Capacity bounds the number of resident planner entries (LRU beyond
 	// it). Default 8.
 	Capacity int
-	// BatchWindow is how long the per-entry batch runner waits for
-	// stragglers when fewer than MaxBatch tasks are pending. Zero disables
-	// the wait (tasks still coalesce when they arrive while a batch is
-	// executing). Default 0.
-	BatchWindow time.Duration
-	// MaxBatch caps tasks executed per batch round. Default 8.
-	MaxBatch int
 	// LoadModel resolves model selectors. Required.
 	LoadModel ModelLoader
-	// Metrics, when set, receives catalog counters/gauges/histograms.
+	// Metrics receives catalog counters/gauges/histograms; nil selects a
+	// private registry. Stats reads the counters registered here, so
+	// catalogs sharing one registry share their counts.
 	Metrics *obs.Registry
-	// Tracer, when set, emits catalog.load / catalog.batch spans.
+	// Tracer, when set, emits catalog.load spans.
 	Tracer *trace.Tracer
 }
 
@@ -91,8 +85,8 @@ func (o Options) withDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 8
 	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
+	if o.Metrics == nil {
+		o.Metrics = obs.New()
 	}
 	return o
 }
@@ -104,8 +98,6 @@ type Stats struct {
 	Evictions  uint64 `json:"evictions"`
 	Loads      uint64 `json:"loads"`
 	LoadErrors uint64 `json:"load_errors"`
-	Batches    uint64 `json:"batches"`
-	BatchTasks uint64 `json:"batch_tasks"`
 }
 
 // Catalog is the tenant-aware planner cache. All methods are safe for
@@ -120,23 +112,13 @@ type Catalog struct {
 	loading map[Key]*loadCall
 	closed  bool
 
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	loads      atomic.Uint64
-	loadErrors atomic.Uint64
-	batches    atomic.Uint64
-	batchTasks atomic.Uint64
-
-	mHits      *obs.Counter
-	mMisses    *obs.Counter
-	mEvictions *obs.Counter
-	mLoads     *obs.Counter
-	mLoadErrs  *obs.Counter
-	mEntries   *obs.Gauge
-	hLoad      *obs.Histogram
-	mBatches   *obs.Counter
-	mBatchTask *obs.Counter
+	hits       *obs.Counter
+	misses     *obs.Counter
+	evictions  *obs.Counter
+	loads      *obs.Counter
+	loadErrors *obs.Counter
+	entriesG   *obs.Gauge
+	loadHist   *obs.Histogram
 }
 
 // loadCall is one in-flight single-flight load. done is closed exactly once,
@@ -152,34 +134,28 @@ type loadCall struct {
 // New builds a Catalog. Options.LoadModel must be set.
 func New(opts Options) *Catalog {
 	opts = opts.withDefaults()
-	c := &Catalog{
-		opts:    opts,
-		grids:   make(map[string]*grid.Grid),
-		entries: make(map[Key]*Entry),
-		lru:     list.New(),
-		loading: make(map[Key]*loadCall),
+	m := opts.Metrics
+	m.SetHelp("catalog_hits_total", "Planner catalog cache hits.")
+	m.SetHelp("catalog_misses_total", "Planner catalog cache misses (each waiter on a cold key counts once).")
+	m.SetHelp("catalog_evictions_total", "Planner entries evicted by LRU pressure or grid replacement.")
+	m.SetHelp("catalog_loads_total", "Completed planner loads (single-flight: one per cold key).")
+	m.SetHelp("catalog_load_errors_total", "Planner loads that failed.")
+	m.SetHelp("catalog_entries", "Resident planner entries.")
+	m.SetHelp("catalog_load_seconds", "Planner load latency (model resolve + planner build).")
+	return &Catalog{
+		opts:       opts,
+		grids:      make(map[string]*grid.Grid),
+		entries:    make(map[Key]*Entry),
+		lru:        list.New(),
+		loading:    make(map[Key]*loadCall),
+		hits:       m.Counter("catalog_hits_total"),
+		misses:     m.Counter("catalog_misses_total"),
+		evictions:  m.Counter("catalog_evictions_total"),
+		loads:      m.Counter("catalog_loads_total"),
+		loadErrors: m.Counter("catalog_load_errors_total"),
+		entriesG:   m.Gauge("catalog_entries"),
+		loadHist:   m.Histogram("catalog_load_seconds", obs.DefaultLatencyBuckets),
 	}
-	if m := opts.Metrics; m != nil {
-		c.mHits = m.Counter("catalog_hits_total")
-		c.mMisses = m.Counter("catalog_misses_total")
-		c.mEvictions = m.Counter("catalog_evictions_total")
-		c.mLoads = m.Counter("catalog_loads_total")
-		c.mLoadErrs = m.Counter("catalog_load_errors_total")
-		c.mEntries = m.Gauge("catalog_entries")
-		c.hLoad = m.Histogram("catalog_load_seconds", obs.DefaultLatencyBuckets)
-		c.mBatches = m.Counter("catalog_batches_total")
-		c.mBatchTask = m.Counter("catalog_batch_tasks_total")
-		m.SetHelp("catalog_hits_total", "Planner catalog cache hits.")
-		m.SetHelp("catalog_misses_total", "Planner catalog cache misses (each waiter on a cold key counts once).")
-		m.SetHelp("catalog_evictions_total", "Planner entries evicted by LRU pressure or grid replacement.")
-		m.SetHelp("catalog_loads_total", "Completed planner loads (single-flight: one per cold key).")
-		m.SetHelp("catalog_load_errors_total", "Planner loads that failed.")
-		m.SetHelp("catalog_entries", "Resident planner entries.")
-		m.SetHelp("catalog_load_seconds", "Planner load latency (model resolve + planner build).")
-		m.SetHelp("catalog_batches_total", "Micro-batch rounds executed across all planner entries.")
-		m.SetHelp("catalog_batch_tasks_total", "Decide tasks executed through micro-batching.")
-	}
-	return c
 }
 
 // InstallGrid registers (or replaces) a named grid. Replacing a grid evicts
@@ -228,18 +204,6 @@ func (c *Catalog) Grids() []*grid.Grid {
 	return gs
 }
 
-// GridNames returns the registered grid names, sorted.
-func (c *Catalog) GridNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.grids))
-	for name := range c.grids {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Acquire resolves key to a loaded planner entry, loading it on a miss.
 // Concurrent Acquires of the same cold key share one load. The returned
 // entry is ref-counted: callers must Release it when done (typically after
@@ -259,17 +223,11 @@ func (c *Catalog) Acquire(ctx context.Context, key Key) (*Entry, error) {
 		ent.refs++
 		ent.hits++
 		c.lru.MoveToFront(ent.elem)
-		c.hits.Add(1)
-		if c.mHits != nil {
-			c.mHits.Inc()
-		}
+		c.hits.Inc()
 		c.mu.Unlock()
 		return ent, nil
 	}
-	c.misses.Add(1)
-	if c.mMisses != nil {
-		c.mMisses.Inc()
-	}
+	c.misses.Inc()
 	call, inFlight := c.loading[key]
 	if !inFlight {
 		call = &loadCall{done: make(chan struct{})}
@@ -306,7 +264,7 @@ func (c *Catalog) Acquire(ctx context.Context, key Key) (*Entry, error) {
 	}
 }
 
-// load resolves the model, builds the pooled planner, and publishes the
+// load resolves the model, builds the entry's planner, and publishes the
 // entry (or the error) to every waiter. Runs in its own goroutine.
 func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 	span := c.opts.Tracer.Start("catalog.load",
@@ -328,12 +286,7 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 			source:   art.Source,
 			artifact: art.ArtifactID,
 			loadedAt: time.Now(),
-		}
-		ent.batch = &batcher{
-			ent:     ent,
-			planner: approx.NewPlanner(art.Model, art.Ext, 0),
-			window:  c.opts.BatchWindow,
-			max:     c.opts.MaxBatch,
+			planner:  approx.NewPlanner(art.Model, art.Ext, 0),
 		}
 	}
 
@@ -354,23 +307,15 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 		ent.refs = call.waiters
 		ent.elem = c.lru.PushFront(ent)
 		c.entries[key] = ent
-		c.loads.Add(1)
-		if c.mLoads != nil {
-			c.mLoads.Inc()
+		c.loads.Inc()
+		var tid uint64
+		if span != nil {
+			tid = uint64(span.TraceID)
 		}
-		if c.hLoad != nil {
-			var tid uint64
-			if span != nil {
-				tid = uint64(span.TraceID)
-			}
-			c.hLoad.ObserveExemplar(elapsed.Seconds(), tid, start.UnixNano())
-		}
+		c.loadHist.ObserveExemplar(elapsed.Seconds(), tid, start.UnixNano())
 		c.evictOverCapacityLocked()
 	} else {
-		c.loadErrors.Add(1)
-		if c.mLoadErrs != nil {
-			c.mLoadErrs.Inc()
-		}
+		c.loadErrors.Inc()
 	}
 	delete(c.loading, key)
 	c.setEntriesGaugeLocked()
@@ -400,10 +345,7 @@ func (c *Catalog) evictEntryLocked(ent *Entry) {
 	c.lru.Remove(ent.elem)
 	delete(c.entries, ent.key)
 	ent.evicted = true
-	c.evictions.Add(1)
-	if c.mEvictions != nil {
-		c.mEvictions.Inc()
-	}
+	c.evictions.Inc()
 	if ent.refs == 0 {
 		ent.closeLocked()
 	}
@@ -411,15 +353,13 @@ func (c *Catalog) evictEntryLocked(ent *Entry) {
 
 func (c *Catalog) releaseLocked(ent *Entry) {
 	ent.refs--
-	if ent.refs == 0 && ent.evicted && !ent.closed {
+	if ent.refs == 0 && ent.evicted && !ent.closed.Load() {
 		ent.closeLocked()
 	}
 }
 
 func (c *Catalog) setEntriesGaugeLocked() {
-	if c.mEntries != nil {
-		c.mEntries.Set(float64(len(c.entries)))
-	}
+	c.entriesG.Set(float64(len(c.entries)))
 }
 
 // Close evicts every entry and rejects future Acquires. Entries still
@@ -440,13 +380,11 @@ func (c *Catalog) Close() {
 // Stats returns the counters.
 func (c *Catalog) Stats() Stats {
 	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Loads:      c.loads.Load(),
-		LoadErrors: c.loadErrors.Load(),
-		Batches:    c.batches.Load(),
-		BatchTasks: c.batchTasks.Load(),
+		Hits:       c.hits.Value(),
+		Misses:     c.misses.Value(),
+		Evictions:  c.evictions.Value(),
+		Loads:      c.loads.Value(),
+		LoadErrors: c.loadErrors.Value(),
 	}
 }
 
@@ -462,12 +400,6 @@ type EntrySnapshot struct {
 	AgeSeconds float64   `json:"age_seconds"`
 }
 
-// BatchConfig reports the micro-batching knobs in a Snapshot.
-type BatchConfig struct {
-	WindowMS float64 `json:"window_ms"`
-	MaxBatch int     `json:"max_batch"`
-}
-
 // Snapshot is the JSON document served by GET /debug/catalog.
 type Snapshot struct {
 	Capacity int             `json:"capacity"`
@@ -475,7 +407,6 @@ type Snapshot struct {
 	Entries  []EntrySnapshot `json:"entries"`
 	Loading  []Key           `json:"loading"`
 	Stats    Stats           `json:"stats"`
-	Batch    BatchConfig     `json:"batch"`
 }
 
 // Snapshot captures the catalog state for debugging.
@@ -487,19 +418,7 @@ func (c *Catalog) Snapshot() Snapshot {
 		Capacity: c.opts.Capacity,
 		Entries:  make([]EntrySnapshot, 0, c.lru.Len()),
 		Loading:  make([]Key, 0, len(c.loading)),
-		Batch: BatchConfig{
-			WindowMS: float64(c.opts.BatchWindow) / float64(time.Millisecond),
-			MaxBatch: c.opts.MaxBatch,
-		},
-		Stats: Stats{
-			Hits:       c.hits.Load(),
-			Misses:     c.misses.Load(),
-			Evictions:  c.evictions.Load(),
-			Loads:      c.loads.Load(),
-			LoadErrors: c.loadErrors.Load(),
-			Batches:    c.batches.Load(),
-			BatchTasks: c.batchTasks.Load(),
-		},
+		Stats:    c.Stats(),
 	}
 	snap.Grids = make([]string, 0, len(c.grids))
 	for name := range c.grids {

@@ -263,7 +263,7 @@ func TestAcquireContextCanceled(t *testing.T) {
 }
 
 // trainedFixture is a real (model, extractor, scenario) triple for the
-// batching determinism tests; built once because training dominates.
+// determinism test; built once because training dominates.
 type trainedFixture struct {
 	model *approx.LinearModel
 	ext   features.Extractor
@@ -319,85 +319,93 @@ func missionActions(t *testing.T, sc sim.Scenario, pl *approx.Planner) []sim.Act
 	return acts
 }
 
-// TestBatchedMatchesUnbatched pins the determinism contract: plans computed
-// through the micro-batch runner are byte-identical to plans from fresh
-// planners, at any batch size and window.
-func TestBatchedMatchesUnbatched(t *testing.T) {
+// TestConcurrentDoMatchesFreshPlanner pins the determinism contract: missions
+// run concurrently through one entry's Do produce exactly the actions of a
+// fresh planner built with the same seed.
+func TestConcurrentDoMatchesFreshPlanner(t *testing.T) {
 	fx := trained(t)
-	seeds := []int64{3, 5, 7, 9}
+	const n = 16
 
-	want := make(map[int64][]sim.Action, len(seeds))
-	for _, s := range seeds {
-		want[s] = missionActions(t, fx.sc, approx.NewPlanner(fx.model, fx.ext, s))
+	want := make([][]sim.Action, n)
+	for i := range want {
+		want[i] = missionActions(t, fx.sc, approx.NewPlanner(fx.model, fx.ext, int64(i+1)))
 	}
 
-	for _, cfg := range []struct {
-		name   string
-		window time.Duration
-		max    int
-	}{
-		{"unbatched", 0, 1},
-		{"batch4", 2 * time.Millisecond, 4},
-		{"batch2-window", 5 * time.Millisecond, 2},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			c := New(Options{
-				Capacity:    2,
-				BatchWindow: cfg.window,
-				MaxBatch:    cfg.max,
-				LoadModel: func(context.Context, string) (*ModelArtifact, error) {
-					return &ModelArtifact{Model: fx.model, Ext: fx.ext, Source: "test"}, nil
-				},
+	c := New(Options{
+		LoadModel: func(context.Context, string) (*ModelArtifact, error) {
+			return &ModelArtifact{Model: fx.model, Ext: fx.ext, Source: "test"}, nil
+		},
+	})
+	c.InstallGrid("g", fx.g)
+
+	got := make([][]sim.Action, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ent, err := c.Acquire(context.Background(), Key{Grid: "g"})
+			if err != nil {
+				t.Errorf("Acquire: %v", err)
+				return
+			}
+			defer ent.Release()
+			err = ent.Do(context.Background(), int64(i+1), func(_ context.Context, p *approx.Planner) error {
+				got[i] = missionActions(t, fx.sc, p)
+				return nil
 			})
-			c.InstallGrid("g", fx.g)
+			if err != nil {
+				t.Errorf("Do: %v", err)
+			}
+		}(i)
+	}
+	wg.Wait()
 
-			got := make(map[int64][]sim.Action, len(seeds))
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for _, s := range seeds {
-				wg.Add(1)
-				go func(s int64) {
-					defer wg.Done()
-					ent, err := c.Acquire(context.Background(), Key{Grid: "g"})
-					if err != nil {
-						t.Errorf("Acquire: %v", err)
-						return
-					}
-					defer ent.Release()
-					err = ent.Do(context.Background(), s, func(_ context.Context, p *approx.Planner) error {
-						acts := missionActions(t, fx.sc, p)
-						mu.Lock()
-						got[s] = acts
-						mu.Unlock()
-						return nil
-					})
-					if err != nil {
-						t.Errorf("Do: %v", err)
-					}
-				}(s)
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("seed %d: %d actions, want %d", i+1, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("seed %d action %d: via Do %+v != fresh %+v", i+1, j, got[i][j], want[i][j])
 			}
-			wg.Wait()
+		}
+	}
+	if st := c.Stats(); st.Loads != 1 {
+		t.Fatalf("loads = %d, want 1 (all missions on one entry)", st.Loads)
+	}
+}
 
-			for _, s := range seeds {
-				if len(got[s]) != len(want[s]) {
-					t.Fatalf("seed %d: %d actions, want %d", s, len(got[s]), len(want[s]))
-				}
-				for i := range want[s] {
-					if got[s][i] != want[s][i] {
-						t.Fatalf("seed %d action %d: batched %+v != unbatched %+v", s, i, got[s][i], want[s][i])
-					}
-				}
-			}
-			if st := c.Stats(); st.BatchTasks != uint64(len(seeds)) {
-				t.Fatalf("batch tasks = %d, want %d", st.BatchTasks, len(seeds))
-			}
-		})
+// TestDoCanceledContextSkipsFn checks that Do returns the context's error
+// without running fn when the context is already done.
+func TestDoCanceledContextSkipsFn(t *testing.T) {
+	var calls atomic.Int64
+	c := New(Options{LoadModel: countingLoader(&calls, 0)})
+	c.InstallGrid("alpha", testGrid(t, 1))
+	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha"})
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	defer ent.Release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	err = ent.Do(ctx, 1, func(context.Context, *approx.Planner) error {
+		ran = true
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Do err = %v, want context.Canceled", err)
+	}
+	if ran {
+		t.Fatal("Do ran fn under a canceled context")
 	}
 }
 
 func TestSnapshotShape(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 3, MaxBatch: 4, BatchWindow: time.Millisecond, LoadModel: countingLoader(&calls, 0)})
+	c := New(Options{Capacity: 3, LoadModel: countingLoader(&calls, 0)})
 	c.InstallGrid("alpha", testGrid(t, 1))
 	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha", Model: "seed:5"})
 	if err != nil {
@@ -415,9 +423,6 @@ func TestSnapshotShape(t *testing.T) {
 	e := snap.Entries[0]
 	if e.Grid != "alpha" || e.Model != "seed:5" || e.Refs != 1 || e.Source != "fake" {
 		t.Fatalf("entry snapshot wrong: %+v", e)
-	}
-	if snap.Batch.MaxBatch != 4 || snap.Batch.WindowMS != 1 {
-		t.Fatalf("batch config wrong: %+v", snap.Batch)
 	}
 }
 

@@ -579,21 +579,22 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 		for i := range acts {
 			acts[i] = p.Decide(m, i)
 		}
+		var decideDur time.Duration
 		if sp.Enabled() {
-			sp.Event("decide",
-				trace.Int("epoch", int64(m.Step())),
-				trace.Float("dur_us", float64(time.Since(decideStart).Microseconds())))
+			decideDur = time.Since(decideStart)
 		}
 		r, err := m.ExecuteStep(acts)
 		if err != nil {
 			return Result{}, err
 		}
 		if sp.Enabled() {
-			// Epoch that was just executed (Step has advanced past it).
+			// Epoch that was just executed (Step has advanced past it);
+			// dur_us is the time the planner spent deciding its actions.
 			sp.Event("step",
 				trace.Int("epoch", int64(m.Step()-1)),
 				trace.Int("sensed", int64(m.TeamSensedCount())),
-				trace.String("actions", actionsString(acts)))
+				trace.String("actions", actionsString(acts)),
+				trace.Float("dur_us", float64(decideDur.Microseconds())))
 		}
 		if learner != nil {
 			learner.Observe(m, prev, acts, r)

@@ -75,11 +75,14 @@ func TestMissionSpanAndReplay(t *testing.T) {
 	if a, ok := trace.GetAttr(sp.Attrs, "steps"); !ok || a.IntVal() != int64(want.Steps) {
 		t.Fatalf("steps attr %v, want %d", a.IntVal(), want.Steps)
 	}
-	if n := len(sp.EventsNamed("step")); n != want.Steps {
-		t.Fatalf("%d step events, want %d", n, want.Steps)
+	steps := sp.EventsNamed("step")
+	if len(steps) != want.Steps {
+		t.Fatalf("%d step events, want %d", len(steps), want.Steps)
 	}
-	if n := len(sp.EventsNamed("decide")); n != want.Steps {
-		t.Fatalf("%d decide events, want %d", n, want.Steps)
+	for i, ev := range steps {
+		if _, ok := ev.Attr("dur_us"); !ok {
+			t.Fatalf("step event %d has no dur_us attribute", i)
+		}
 	}
 	if want.Found && len(sp.EventsNamed("found")) != 1 {
 		t.Fatalf("found events: %d", len(sp.EventsNamed("found")))

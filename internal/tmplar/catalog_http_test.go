@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/registry"
@@ -155,24 +154,29 @@ func TestPlanUnknownModel404(t *testing.T) {
 	}
 }
 
-// TestBatchedPlanByteIdentical fires concurrent identical plans at a server
-// with micro-batching enabled and compares every response byte-for-byte
-// against an unbatched server — batching must be invisible in the output.
-func TestBatchedPlanByteIdentical(t *testing.T) {
-	plain := derivedServer(t, Options{})
-	batched := derivedServer(t, Options{
-		CatalogBatchWindow: 2 * time.Millisecond,
-		CatalogMaxBatch:    4,
-	})
-
-	req := opsPlanRequest()
-	want := do(t, plain.Handler(), "POST", "/api/plan", req)
-	if want.Code != http.StatusOK {
-		t.Fatalf("unbatched plan: %d %s", want.Code, want.Body.String())
+// TestConcurrentPlansMatchSerial fires concurrent distinct-seed plans at one
+// catalog entry and compares every response byte-for-byte against the same
+// request served serially on a fresh server: sharing the entry's planner
+// must be invisible in the output.
+func TestConcurrentPlansMatchSerial(t *testing.T) {
+	const n = 8
+	reqs := make([]PlanRequest, n)
+	for i := range reqs {
+		reqs[i] = opsPlanRequest()
+		reqs[i].Seed = int64(i + 1)
 	}
 
-	const n = 8
-	h := batched.Handler()
+	serial := derivedServer(t, Options{}).Handler()
+	want := make([]string, n)
+	for i, req := range reqs {
+		rec := do(t, serial, "POST", "/api/plan", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("serial plan seed %d: %d %s", req.Seed, rec.Code, rec.Body.String())
+		}
+		want[i] = rec.Body.String()
+	}
+
+	h := derivedServer(t, Options{}).Handler()
 	bodies := make([]string, n)
 	codes := make([]int, n)
 	var wg sync.WaitGroup
@@ -180,26 +184,18 @@ func TestBatchedPlanByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := do(t, h, "POST", "/api/plan", req)
+			rec := do(t, h, "POST", "/api/plan", reqs[i])
 			codes[i], bodies[i] = rec.Code, rec.Body.String()
 		}()
 	}
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if codes[i] != http.StatusOK {
-			t.Fatalf("batched plan %d: %d %s", i, codes[i], bodies[i])
+			t.Fatalf("concurrent plan seed %d: %d %s", reqs[i].Seed, codes[i], bodies[i])
 		}
-		if bodies[i] != want.Body.String() {
-			t.Fatalf("batched plan %d differs from unbatched:\n%s\nvs\n%s", i, bodies[i], want.Body.String())
+		if bodies[i] != want[i] {
+			t.Fatalf("concurrent plan seed %d differs from serial:\n%s\nvs\n%s", reqs[i].Seed, bodies[i], want[i])
 		}
-	}
-	// The batcher actually ran: every task is accounted, across >= 1 batch.
-	m := batched.Metrics()
-	if got := m.CounterValue("catalog_batch_tasks_total"); got != n {
-		t.Errorf("catalog_batch_tasks_total = %d, want %d", got, n)
-	}
-	if got := m.CounterValue("catalog_batches_total"); got == 0 {
-		t.Error("catalog_batches_total = 0, want at least one batch")
 	}
 }
 
