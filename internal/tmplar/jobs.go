@@ -10,7 +10,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/jobs"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/trace"
 )
@@ -42,36 +41,27 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.jobsUnavailable(w) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
 	var req JobPlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
+	if !s.decodePlanBody(w, r, &req) {
 		return
 	}
 	key := req.IdempotencyKey
 	if key == "" {
 		key = r.Header.Get("Idempotency-Key")
 	}
-	// Reject the obvious 4xx cases synchronously; a job that cannot plan
-	// should not occupy queue capacity.
+	// Reject what cannot plan synchronously, in the sync plane's order
+	// (grid, model, then shape); a job that can only fail should not
+	// occupy queue capacity. Model selectors validate against the registry
+	// manifests only; the weights load when the job runs.
+	var err error
 	if _, ok := s.lookupGrid(req.Grid); !ok {
-		writeNotFound(w, &catalog.NotFoundError{Kind: "grid", Name: req.Grid})
-		return
+		err = &catalog.NotFoundError{Kind: "grid", Name: req.Grid}
+	} else if err = s.models.validate(req.ModelID); err == nil {
+		err = req.check()
 	}
-	// Model selectors validate against the registry manifests only — cheap
-	// enough for synchronous admission; the weights load when the job runs.
-	if err := s.models.validate(req.ModelID); err != nil {
-		if !writeNotFound(w, err) {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		}
-		return
-	}
-	if len(req.Assets) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"no assets"})
+	if err != nil {
+		status, body := planFailure(err)
+		writeJSON(w, status, body)
 		return
 	}
 
@@ -96,7 +86,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Fn: func(ctx context.Context) (any, error) {
 			// Each execution gets a fresh budget — a resubmitted job must
 			// not inherit the exhausted accounting of a failed attempt.
-			resp, _, err := s.plan(ctx, plan, s.newBudget())
+			resp, err := s.plan(ctx, plan, s.newBudget())
 			if err != nil {
 				return nil, err
 			}
@@ -136,14 +126,14 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	// A job that failed over budget answers 429 like the synchronous
 	// plane, still carrying the job view (its error string names the
 	// resource) so clients see one consistent admission-control signal.
-	if view.State == jobs.StateFailed {
-		var ob *limits.ErrOverBudget
-		if errors.As(s.jobs.Err(view.ID), &ob) {
-			writeJSON(w, http.StatusTooManyRequests, view)
-			return
+	// Every other state, failed or not, answers 200.
+	status := http.StatusOK
+	if err := s.jobs.Err(view.ID); view.State == jobs.StateFailed && err != nil {
+		if st, _ := planFailure(err); st == http.StatusTooManyRequests {
+			status = st
 		}
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, status, view)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {

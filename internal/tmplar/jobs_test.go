@@ -16,7 +16,7 @@ import (
 
 // jobServer is a derivedServer with its own async job queue attached, so
 // job-plane tests neither retrain the model nor share queue state.
-func jobServer(t *testing.T, workers, depth int) *Server {
+func jobServer(t testing.TB, workers, depth int) *Server {
 	t.Helper()
 	s := derivedServer(t, Options{})
 	s.jobs = jobs.New(jobs.Options{Workers: workers, QueueDepth: depth,

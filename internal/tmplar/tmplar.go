@@ -542,23 +542,22 @@ func (s *Server) Close() {
 // exposition (# HELP lines).
 func registerHelp(m *obs.Registry) {
 	for name, help := range map[string]string{
-		"tmplar_http_requests_total":          "HTTP requests served, by route pattern and status.",
-		"tmplar_http_request_seconds":         "End-to-end HTTP request latency, by route pattern.",
-		"tmplar_inflight_requests":            "Requests currently being served.",
-		"tmplar_plan_seconds":                 "Planning (mission simulation) latency per request, by route and outcome.",
-		"tmplar_plan_completed_total":         "Planning requests answered 200, by algorithm.",
-		"tmplar_plan_errors_total":            "Planning requests failed, by HTTP status.",
-		"tmplar_plan_deadline_exceeded_total": "Planning requests that ran out of deadline budget.",
-		"tmplar_plan_steps_total":             "Mission steps simulated across all completed plans.",
-		"tmplar_grids_installed_total":        "Grid registrations (uploads and programmatic installs).",
-		"trace_span_seconds":                  "Span durations from the request tracer, by span name.",
-		"trace_spans_total":                   "Spans completed by the request tracer, by span name.",
-		"limits_charged_total":                "Budget units charged by planning requests, by resource.",
-		"limits_exhausted_total":              "Planning requests aborted over budget, by resource.",
-		"samples_skipped_total":               "Degenerate training samples dropped during collection.",
-		"prof_captures_total":                 "Profile captures taken, by trigger (scheduled/slo/manual).",
-		"prof_capture_errors_total":           "Profile captures that finished with an error.",
-		"prof_captures_retained":              "Profile captures currently held in the ring.",
+		"tmplar_http_requests_total":   "HTTP requests served, by route pattern and status.",
+		"tmplar_http_request_seconds":  "End-to-end HTTP request latency, by route pattern.",
+		"tmplar_inflight_requests":     "Requests currently being served.",
+		"tmplar_plan_seconds":          "Planning (mission simulation) latency per request, by route and outcome.",
+		"tmplar_plan_completed_total":  "Planning requests answered 200, by algorithm.",
+		"tmplar_plan_errors_total":     "Planning requests failed, by HTTP status (503: deadline expired or client gone).",
+		"tmplar_plan_steps_total":      "Mission steps simulated across all completed plans.",
+		"tmplar_grids_installed_total": "Grid registrations (uploads and programmatic installs).",
+		"trace_span_seconds":           "Span durations from the request tracer, by span name.",
+		"trace_spans_total":            "Spans completed by the request tracer, by span name.",
+		"limits_charged_total":         "Budget units charged by planning requests, by resource.",
+		"limits_exhausted_total":       "Planning requests aborted over budget, by resource.",
+		"samples_skipped_total":        "Degenerate training samples dropped during collection.",
+		"prof_captures_total":          "Profile captures taken, by trigger (scheduled/slo/manual).",
+		"prof_capture_errors_total":    "Profile captures that finished with an error.",
+		"prof_captures_retained":       "Profile captures currently held in the ring.",
 	} {
 		m.SetHelp(name, help)
 	}
@@ -1086,29 +1085,32 @@ func (s *Server) handleUploadGrid(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handlePlanGlobal(w http.ResponseWriter, r *http.Request) {
+// decodePlanBody decodes a plan endpoint's JSON body into v, capped at
+// MaxPlanBytes. On failure it answers 413 (body too large) or 400 itself
+// and returns false.
+func (s *Server) decodePlanBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
-	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		status := http.StatusBadRequest
 		if tooLarge(err) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
-		return
+		return false
 	}
-	s.servePlan(w, r, req)
+	return true
+}
+
+func (s *Server) handlePlanGlobal(w http.ResponseWriter, r *http.Request) {
+	var req PlanRequest
+	if s.decodePlanBody(w, r, &req) {
+		s.servePlan(w, r, req)
+	}
 }
 
 func (s *Server) handlePlanLocal(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
 	var req LocalPlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
+	if !s.decodePlanBody(w, r, &req) {
 		return
 	}
 	s.servePlan(w, r, PlanRequest{
@@ -1170,35 +1172,40 @@ type notFoundResponse struct {
 	Name     string `json:"name"`
 }
 
-// writeNotFound answers err as a structured 404 when it carries a catalog
-// NotFoundError, reporting whether it did.
-func writeNotFound(w http.ResponseWriter, err error) bool {
-	var nf *catalog.NotFoundError
-	if !errors.As(err, &nf) {
-		return false
-	}
-	writeJSON(w, http.StatusNotFound, notFoundResponse{
-		Error:    err.Error(),
-		Resource: nf.Kind,
-		Name:     nf.Name,
-	})
-	return true
-}
+// badRequestError marks a planning error the client must fix: planFailure
+// answers it 400.
+type badRequestError struct{ error }
 
-// writeOverBudget answers err as a structured 429 when it carries an
-// ErrOverBudget, reporting whether it did.
-func writeOverBudget(w http.ResponseWriter, err error) bool {
-	var ob *limits.ErrOverBudget
-	if !errors.As(err, &ob) {
-		return false
+// planFailure maps a planning error to its HTTP status and JSON body. It is
+// the one table both planning planes answer from — the plan endpoints, job
+// admission and the job poll — so one cause gets one status whichever plane
+// served it. Errors no case names (catalog.ErrClosed, a simulator fault)
+// are the server's fault and answer 500.
+func planFailure(err error) (status int, body any) {
+	var (
+		br badRequestError
+		nf *catalog.NotFoundError
+		ob *limits.ErrOverBudget
+	)
+	switch {
+	case errors.As(err, &br):
+		return http.StatusBadRequest, errorResponse{err.Error()}
+	case errors.As(err, &nf):
+		return http.StatusNotFound, notFoundResponse{Error: err.Error(), Resource: nf.Kind, Name: nf.Name}
+	case errors.As(err, &ob):
+		return http.StatusTooManyRequests, overBudgetResponse{
+			Error:    err.Error(),
+			Resource: ob.Resource.String(),
+			Limit:    ob.Limit,
+			Used:     ob.Used,
+		}
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		// The service is alive; this request's mission was too heavy for its
+		// deadline, or its client went away.
+		return http.StatusServiceUnavailable, errorResponse{err.Error()}
+	default:
+		return http.StatusInternalServerError, errorResponse{err.Error()}
 	}
-	writeJSON(w, http.StatusTooManyRequests, overBudgetResponse{
-		Error:    err.Error(),
-		Resource: ob.Resource.String(),
-		Limit:    ob.Limit,
-		Used:     ob.Used,
-	})
-	return true
 }
 
 // recordBudget folds one request's budget usage into the shared metrics
@@ -1229,17 +1236,16 @@ func (s *Server) recordBudget(sp *trace.Span, b *limits.Budget, err error, tenan
 }
 
 // servePlan runs a plan under the request deadline and writes the outcome,
-// recording plan metrics either way. A deadline expiry answers 503 (the
-// service is alive; this request's mission was too heavy for its budget),
-// and a client disconnect answers 499-style with the straight 503 body —
-// the connection is gone anyway.
+// recording plan metrics either way. A failure answers planFailure's status
+// and body; a deadline expiry or client disconnect (503) names the deadline
+// in its body.
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanRequest) {
 	deadline := s.deadlineFor(req)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
 	start := time.Now()
-	resp, status, err := s.plan(ctx, req, s.newBudget())
+	resp, err := s.plan(ctx, req, s.newBudget())
 	elapsed := time.Since(start)
 
 	m := s.opts.Metrics
@@ -1258,20 +1264,14 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanReque
 		h.Observe(elapsed.Seconds())
 	}
 	if err != nil {
-		if writeOverBudget(w, err) {
-			return
+		// ctx.Err() stays nil until the deadline or the client ends ctx, so
+		// this matches only this request's own context error.
+		if errors.Is(err, ctx.Err()) {
+			err = fmt.Errorf("planning exceeded the %v deadline: %w", deadline, err)
 		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			m.Counter("tmplar_plan_deadline_exceeded_total").Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-				fmt.Sprintf("planning exceeded the %v deadline: %v", deadline, err)})
-			return
-		}
+		status, body := planFailure(err)
 		m.Counter("tmplar_plan_errors_total", "status", fmt.Sprint(status)).Inc()
-		if writeNotFound(w, err) {
-			return
-		}
-		writeJSON(w, status, errorResponse{err.Error()})
+		writeJSON(w, status, body)
 		return
 	}
 	m.Counter("tmplar_plan_completed_total", "algorithm", algoLabel(req.Algorithm)).Inc()
@@ -1287,40 +1287,59 @@ func algoLabel(algo string) string {
 	return algo
 }
 
+// check rejects request shapes no plan can serve, without touching the
+// grid or the model. Both planes call it, so job admission refuses what a
+// synchronous plan would, instead of queueing a job that can only fail.
+func (req PlanRequest) check() error {
+	if len(req.Assets) == 0 {
+		return badRequestError{errors.New("no assets")}
+	}
+	switch req.Algorithm {
+	case "", "approx", "baseline1", "baseline2", "random":
+	case "approx-pk":
+		if req.Region == nil {
+			return badRequestError{errors.New("approx-pk requires a region")}
+		}
+	default:
+		return badRequestError{fmt.Errorf("unknown algorithm %q", req.Algorithm)}
+	}
+	return nil
+}
+
 // plan executes a mission for a request, aborting when ctx expires or the
-// request budget is exhausted (HTTP 429). The mission span parents under
-// the request span carried by ctx, so one trace ID covers the request from
-// HTTP edge to simulation. budget may be nil (unlimited); it is shared by
-// the planner and the mission loop so a planner-latched violation aborts
-// the run at the next epoch.
+// request budget is exhausted. Errors the client must fix are
+// badRequestErrors; planFailure maps every error to its HTTP answer. The
+// mission span parents under the request span carried by ctx, so one trace
+// ID covers the request from HTTP edge to simulation. budget may be nil
+// (unlimited); it is shared by the planner and the mission loop so a
+// planner-latched violation aborts the run at the next epoch.
 //
 // The (grid, model_id) pair resolves through the planner catalog: the entry
 // is ref-counted for the duration of the request, and approx missions run
 // on the entry's planner through Entry.Do.
-func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budget) (*PlanResponse, int, error) {
+func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budget) (_ *PlanResponse, err error) {
 	sp := trace.SpanFromContext(ctx).Child("plan",
 		trace.String("grid", req.Grid),
 		trace.String("model", req.ModelID),
 		trace.String("algorithm", algoLabel(req.Algorithm)),
 		trace.Int("assets", int64(len(req.Assets))))
-	defer sp.End()
+	defer func() {
+		if err != nil && sp.Enabled() {
+			sp.SetAttrs(trace.String("error", err.Error()))
+		}
+		sp.End()
+	}()
 
 	ent, err := s.cat.Acquire(ctx, catalog.Key{Grid: req.Grid, Model: req.ModelID})
 	if err != nil {
-		var nf *catalog.NotFoundError
-		if errors.As(err, &nf) {
-			return nil, http.StatusNotFound, err
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, http.StatusServiceUnavailable, err
-		}
-		return nil, http.StatusInternalServerError, err
+		return nil, err
 	}
 	defer ent.Release()
-	g := ent.Grid()
-	if len(req.Assets) == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("no assets")
+	// After Acquire, so an unknown grid or model answers 404 before any 400.
+	if err := req.check(); err != nil {
+		return nil, err
 	}
+	g := ent.Grid()
 	team := make(vessel.Team, len(req.Assets))
 	for i, a := range req.Assets {
 		team[i] = vessel.Asset{
@@ -1347,13 +1366,13 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 	sc.Weather = req.Weather.field()
 	sc.Rendezvous = req.Rendezvous
 	if err := sc.Validate(); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, badRequestError{err}
 	}
 
 	// runMission simulates sc under planner and folds the step stream into
 	// per-asset routes. Shared by the direct (baseline) path and the
 	// catalog (approx) path.
-	runMission := func(ctx context.Context, planner sim.Planner, collision sim.CollisionPolicy) (*PlanResponse, int, error) {
+	runMission := func(ctx context.Context, planner sim.Planner, collision sim.CollisionPolicy) (*PlanResponse, error) {
 		routes := make([]AssetRoute, len(team))
 		for i := range routes {
 			routes[i].Asset = i
@@ -1392,17 +1411,7 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 			sim.RunOptions{Collision: collision, OnStep: record, TraceParent: sp, Budget: budget})
 		s.recordBudget(sp, budget, err, req.Grid)
 		if err != nil {
-			if sp.Enabled() {
-				sp.SetAttrs(trace.String("error", err.Error()))
-			}
-			var ob *limits.ErrOverBudget
-			if errors.As(err, &ob) {
-				return nil, http.StatusTooManyRequests, err
-			}
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, http.StatusServiceUnavailable, err
-			}
-			return nil, http.StatusInternalServerError, err
+			return nil, err
 		}
 		if sp.Enabled() {
 			sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
@@ -1415,44 +1424,31 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 			FTotal:     res.FTotal,
 			Collisions: res.Collisions,
 			Routes:     routes,
-		}, http.StatusOK, nil
+		}, nil
 	}
 
 	switch req.Algorithm {
 	case "", "approx", "approx-pk":
-		if req.Algorithm == "approx-pk" && req.Region == nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("approx-pk requires a region")
-		}
 		// The mission runs under the entry's lock: Do Resets the entry's
 		// planner to the request seed before fn runs, and missions on one
 		// entry run one at a time, so results are byte-identical to a
 		// freshly constructed planner's however requests interleave.
-		var (
-			resp   *PlanResponse
-			status int
-			perr   error
-		)
-		doErr := ent.Do(ctx, req.Seed, func(ctx context.Context, ap *approx.Planner) error {
+		var resp *PlanResponse
+		err := ent.Do(ctx, req.Seed, func(ctx context.Context, ap *approx.Planner) error {
 			ap.SetBudget(budget)
 			var planner sim.Planner = ap
 			if req.Algorithm == "approx-pk" {
 				pk, err := partial.NewPlanner(sc, geo.Rect(*req.Region), ap)
 				if err != nil {
-					status, perr = http.StatusBadRequest, err
-					return nil
+					return badRequestError{err}
 				}
 				planner = pk
 			}
-			resp, status, perr = runMission(ctx, planner, sim.RecordCollisions)
-			return nil
+			var err error
+			resp, err = runMission(ctx, planner, sim.RecordCollisions)
+			return err
 		})
-		if doErr != nil {
-			if errors.Is(doErr, context.DeadlineExceeded) || errors.Is(doErr, context.Canceled) {
-				return nil, http.StatusServiceUnavailable, doErr
-			}
-			return nil, http.StatusInternalServerError, doErr
-		}
-		return resp, status, perr
+		return resp, err
 	case "baseline1":
 		return runMission(ctx, baselines.NewRoundRobin(rewardfn.Weights{}, req.Seed), sim.RecordCollisions)
 	case "baseline2":
@@ -1460,7 +1456,9 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 	case "random":
 		return runMission(ctx, baselines.NewRandomWalk(req.Seed), sim.RecordCollisions)
 	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q", req.Algorithm)
+		// Unreachable: check rejected every other algorithm, so reaching
+		// here is a server bug (500), not a client error.
+		return nil, fmt.Errorf("tmplar: algorithm %q passed check but has no planner", req.Algorithm)
 	}
 }
 

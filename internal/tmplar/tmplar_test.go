@@ -19,7 +19,7 @@ import (
 // sharedServer is built once per test binary (model training dominates).
 var sharedServer *Server
 
-func server(t *testing.T) *Server {
+func server(t testing.TB) *Server {
 	t.Helper()
 	if sharedServer == nil {
 		s, err := NewServer(17)
@@ -474,7 +474,7 @@ func TestPlanWithWeatherAndRendezvous(t *testing.T) {
 // derivedServer shares the expensively-trained model cache of the shared
 // server but gets its own catalog, metrics registry, and Options, so limit
 // and deadline tests neither retrain nor interfere with other tests.
-func derivedServer(t *testing.T, opts Options) *Server {
+func derivedServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	base := server(t)
 	opts = opts.withDefaults()
@@ -531,8 +531,8 @@ func TestPlanDeadlineExceededReturns503(t *testing.T) {
 	if !strings.Contains(e.Error, "deadline") {
 		t.Errorf("error %q does not mention the deadline", e.Error)
 	}
-	if got := s.Metrics().CounterValue("tmplar_plan_deadline_exceeded_total"); got != 1 {
-		t.Errorf("tmplar_plan_deadline_exceeded_total = %d, want 1", got)
+	if got := s.Metrics().CounterValue("tmplar_plan_errors_total", "status", "503"); got != 1 {
+		t.Errorf("tmplar_plan_errors_total{status=503} = %d, want 1", got)
 	}
 }
 
@@ -660,8 +660,8 @@ func TestMetricsEndpointReflectsOutcomes(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if got := m.CounterValue("tmplar_plan_deadline_exceeded_total"); got != 1 {
-		t.Errorf("deadline_exceeded = %d, want 1", got)
+	if got := m.CounterValue("tmplar_plan_errors_total", "status", "503"); got != 1 {
+		t.Errorf("plan_errors{503} = %d, want 1", got)
 	}
 	if got := m.CounterValue("tmplar_plan_completed_total", "algorithm", "approx"); got != 1 {
 		t.Errorf("completed{approx} = %d, want 1", got)
@@ -679,7 +679,7 @@ func TestMetricsEndpointReflectsOutcomes(t *testing.T) {
 	}
 	text := rec.Body.String()
 	for _, want := range []string{
-		"# TYPE tmplar_plan_deadline_exceeded_total counter",
+		`tmplar_plan_errors_total{status="503"} 1`,
 		`tmplar_plan_completed_total{algorithm="approx"} 1`,
 		"tmplar_plan_seconds",
 	} {
@@ -704,12 +704,12 @@ func TestMetricsEndpointReflectsOutcomes(t *testing.T) {
 	}
 	seen := false
 	for _, c := range snap.Counters {
-		if c.Name == "tmplar_plan_deadline_exceeded_total" && c.Value == 1 {
+		if c.Name == "tmplar_plan_errors_total" && c.Label["status"] == "503" && c.Value == 1 {
 			seen = true
 		}
 	}
 	if !seen {
-		t.Errorf("JSON snapshot missing tmplar_plan_deadline_exceeded_total=1: %s", rec.Body.String())
+		t.Errorf("JSON snapshot missing tmplar_plan_errors_total{status=503}=1: %s", rec.Body.String())
 	}
 }
 
