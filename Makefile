@@ -5,13 +5,19 @@ BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
-.PHONY: build vet fmt-check test race race-exec loadgen-smoke check bench bench-compare
+.PHONY: build vet vet-perfbench fmt-check test race race-exec loadgen-smoke check bench bench-compare
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# vet-perfbench compiles and vets the benchmark: perfbench is its own module,
+# so the root build and vet never see it, and an internal API change could
+# break `bash perfbench/run.sh` with everything else green.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # fmt-check fails when any file is not gofmt-clean (prints the offenders).
 fmt-check:
@@ -25,12 +31,13 @@ race:
 
 # race-exec focuses the detector on the parallel experiment executor, the
 # simulator it fans out over, the lock-free trace ring they emit into, the
-# metrics sampler/SSE fan-out, the SLO burn-rate engine, the async job
-# queue, the resource-budget accounting, the model registry, the
-# data-parallel training stack (neural/linreg worker pools, flat sample
-# tensors), the continuous profiler's capture ring, and the tenant-aware
-# planner catalog (single-flight loads, LRU eviction, per-entry locking) —
-# the packages with real concurrency.
+# metrics sampler and its SSE subscribers, the SLO burn-rate engine, the
+# async job queue and its change-notify watches, the resource-budget
+# accounting, the model registry, the data-parallel training stack
+# (neural/linreg worker pools, flat sample tensors), the continuous
+# profiler's capture ring, and the tenant-aware planner catalog
+# (single-flight loads, LRU eviction, per-entry locking) — the packages
+# with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...
 
@@ -40,7 +47,7 @@ loadgen-smoke:
 	$(GO) test ./cmd/loadgen/ -run 'TestSmoke|TestMultiTenantSmoke|TestFailsOnInducedBreach' -v
 
 # check is what CI runs (.github/workflows/ci.yml).
-check: build vet fmt-check test race loadgen-smoke
+check: build vet vet-perfbench fmt-check test race loadgen-smoke
 
 # bench runs the full suite and writes a machine-readable report (ns/op,
 # B/op, allocs/op and every custom metric) to $(BENCH_OUT).

@@ -2,8 +2,10 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,28 +32,14 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-func TestNamespaceOfKey(t *testing.T) {
-	for key, want := range map[string]string{
-		"":               "",
-		"plain":          "",
-		"tenant/plan-1":  "tenant",
-		"/leading-slash": "", // empty prefix is not a namespace
-		"a/b/c":          "a",
-	} {
-		if got := Namespace(key); got != want {
-			t.Errorf("Namespace(%q) = %q, want %q", key, got, want)
-		}
-	}
-}
-
-// TestWeightedFairDequeue floods one namespace while a lighter tenant
-// submits two jobs, on a single worker so the execution order is the
-// dequeue order. The deficit round-robin must interleave the tenants —
-// the light tenant's whole batch completes within the first four
-// post-flood executions (2x its isolated latency of two executions)
-// instead of queueing behind all nine heavy jobs.
-func TestWeightedFairDequeue(t *testing.T) {
-	q := New(Options{Workers: 1, QueueDepth: 32, Weights: map[string]int{"light": 2}})
+// TestRoundRobinLanes floods one lane while a lighter tenant submits two
+// jobs, on a single worker so the execution order is the dequeue order.
+// The round-robin must interleave the tenants — the light tenant's whole
+// batch completes within the first four post-flood executions (2x its
+// isolated latency of two executions) instead of queueing behind all nine
+// heavy jobs.
+func TestRoundRobinLanes(t *testing.T) {
+	q := New(Options{Workers: 1, QueueDepth: 32})
 	defer q.Close()
 
 	var mu sync.Mutex
@@ -67,7 +55,7 @@ func TestWeightedFairDequeue(t *testing.T) {
 
 	// Occupy the worker so every following submission queues up behind it.
 	gate := make(chan struct{})
-	gv, err := q.Submit(Request{IdempotencyKey: "gate/0", Fn: func(ctx context.Context) (any, error) {
+	gv, err := q.Submit(Request{Namespace: "gate", Fn: func(ctx context.Context) (any, error) {
 		<-gate
 		return nil, nil
 	}})
@@ -77,14 +65,14 @@ func TestWeightedFairDequeue(t *testing.T) {
 
 	var last View
 	for i := 1; i <= 9; i++ {
-		v, err := q.Submit(Request{IdempotencyKey: fmt.Sprintf("heavy/%d", i), Fn: exec(fmt.Sprintf("heavy/%d", i))})
+		v, err := q.Submit(Request{IdempotencyKey: fmt.Sprintf("heavy/%d", i), Namespace: "heavy", Fn: exec(fmt.Sprintf("heavy/%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		last = v
 	}
 	for i := 1; i <= 2; i++ {
-		if _, err := q.Submit(Request{IdempotencyKey: fmt.Sprintf("light/%d", i), Fn: exec(fmt.Sprintf("light/%d", i))}); err != nil {
+		if _, err := q.Submit(Request{IdempotencyKey: fmt.Sprintf("light/%d", i), Namespace: "light", Fn: exec(fmt.Sprintf("light/%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,14 +94,14 @@ func TestWeightedFairDequeue(t *testing.T) {
 	}
 	light, heavy := 0, 0
 	for _, name := range order[:4] {
-		if Namespace(name) == "light" {
+		if strings.HasPrefix(name, "light/") {
 			light++
 		} else {
 			heavy++
 		}
 	}
-	// Weight 2 vs 1: both light jobs land in the first round-robin rounds,
-	// interleaved with exactly two heavy ones.
+	// One job per lane per turn: both light jobs land in the first two
+	// rounds, interleaved with exactly two heavy ones.
 	if light != 2 || heavy != 2 {
 		t.Fatalf("first four executions %v: want both light jobs among them", order[:4])
 	}
@@ -272,8 +260,9 @@ func TestCanceledKeyResubmits(t *testing.T) {
 	}
 }
 
-// TestErrReturnsTypedFailure pins Queue.Err: the typed error survives for
-// errors.As at the HTTP layer, and non-failed jobs report nil.
+// TestErrReturnsTypedFailure pins View.Err: the typed error survives for
+// errors.As at the HTTP layer, stays out of the JSON view, and non-failed
+// jobs report nil.
 func TestErrReturnsTypedFailure(t *testing.T) {
 	q := New(Options{Workers: 1})
 	defer q.Close()
@@ -285,19 +274,18 @@ func TestErrReturnsTypedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, q, v.ID)
-	if got := q.Err(v.ID); !errors.Is(got, sentinel) {
-		t.Fatalf("Err(%s) = %v, want wrapped sentinel", v.ID, got)
+	failed := waitTerminal(t, q, v.ID)
+	if !errors.Is(failed.Err, sentinel) {
+		t.Fatalf("View.Err of %s = %v, want wrapped sentinel", v.ID, failed.Err)
+	}
+	if b, err := json.Marshal(failed); err != nil || strings.Contains(string(b), `"Err"`) {
+		t.Fatalf("view JSON %s (err %v) must not carry Err", b, err)
 	}
 	ok, err2 := q.Submit(Request{Fn: func(ctx context.Context) (any, error) { return nil, nil }})
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	waitTerminal(t, q, ok.ID)
-	if got := q.Err(ok.ID); got != nil {
-		t.Fatalf("Err of a done job = %v, want nil", got)
-	}
-	if got := q.Err("j-missing"); got != nil {
-		t.Fatalf("Err of an unknown job = %v, want nil", got)
+	if done := waitTerminal(t, q, ok.ID); done.Err != nil {
+		t.Fatalf("View.Err of a done job = %v, want nil", done.Err)
 	}
 }

@@ -18,10 +18,12 @@
 // while it is in flight or done; a key whose prior job failed or was
 // canceled resubmits, so clients can retry errors with the same key.
 //
-// Dequeue is weighted-fair across namespaces (the idempotency-key prefix
-// before the first '/', or Request.Namespace): a deficit round-robin walks
-// the per-namespace FIFOs, so one tenant flooding the queue delays its own
-// backlog, not everyone else's. Terminal job records are retained for a
+// Dequeue is round-robin across lanes (Request.Namespace, chosen by the
+// caller): one job per lane per turn, walking the per-lane FIFOs, so one
+// tenant flooding the queue delays its own backlog, not everyone else's.
+// Watchers are notified, not fed: every transition closes the job's change
+// channel, and a watcher re-reads the current view, so it always ends on
+// the terminal state. Terminal job records are retained for a
 // bounded time and count (Options.Retention / Options.MaxTerminal) and then
 // evicted — a long-running server's memory is bounded by its retention
 // window, not its submission history.
@@ -36,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -83,8 +84,6 @@ const (
 	DefaultRetention = 15 * time.Minute
 	// DefaultMaxTerminal caps retained terminal records regardless of age.
 	DefaultMaxTerminal = 10000
-	// DefaultWatchBuffer is each watcher channel's frame buffer.
-	DefaultWatchBuffer = 4
 )
 
 // Options configures a Queue.
@@ -104,15 +103,6 @@ type Options struct {
 	// MaxTerminal caps retained terminal records, evicting oldest-finished
 	// first. 0 selects DefaultMaxTerminal; < 0 removes the cap.
 	MaxTerminal int
-	// WatchBuffer is the per-watcher channel buffer; < 1 selects
-	// DefaultWatchBuffer. A watcher that falls behind loses intermediate
-	// frames (never blocking a worker); the channel close marks the
-	// terminal transition regardless.
-	WatchBuffer int
-	// Weights assigns dequeue weights to namespaces: a namespace with
-	// weight w dequeues up to w jobs per round-robin turn. Missing or < 1
-	// means weight 1. The empty key weights the default namespace.
-	Weights map[string]int
 	// Now replaces the clock (tests drive a fake one).
 	Now func() time.Time
 	// Metrics receives the queue's gauges, counters and histograms.
@@ -142,9 +132,6 @@ func (o Options) withDefaults() Options {
 	case o.MaxTerminal < 0:
 		o.MaxTerminal = 0 // normalized: 0 means "no cap" internally
 	}
-	if o.WatchBuffer < 1 {
-		o.WatchBuffer = DefaultWatchBuffer
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -152,16 +139,6 @@ func (o Options) withDefaults() Options {
 		o.Metrics = obs.New()
 	}
 	return o
-}
-
-// Namespace returns the fairness lane of an idempotency key: the segment
-// before the first '/' when the key looks like "tenant/...", else the
-// shared default lane "".
-func Namespace(key string) string {
-	if i := strings.IndexByte(key, '/'); i > 0 {
-		return key[:i]
-	}
-	return ""
 }
 
 // nsLabel renders a namespace as a metric label value.
@@ -180,8 +157,7 @@ type Request struct {
 	// Submit with the same key returns the original job unless that job
 	// failed or was canceled, in which case the retry resubmits.
 	IdempotencyKey string
-	// Namespace overrides the fairness lane; empty derives it from
-	// IdempotencyKey via Namespace.
+	// Namespace is the fairness lane; empty is the shared default lane.
 	Namespace string
 	// Timeout bounds this job's execution; 0 falls back to the queue's
 	// DefaultTimeout.
@@ -208,6 +184,10 @@ type View struct {
 	Error            string  `json:"error,omitempty"`
 	Result           any     `json:"result,omitempty"`
 	TraceID          string  `json:"trace_id,omitempty"`
+	// Err is the typed failure behind Error (nil unless failed), read under
+	// the same lock as State so the HTTP layer can errors.As it — e.g. to
+	// answer 429 for a job that failed on budget exhaustion.
+	Err error `json:"-"`
 }
 
 // job is the mutable record; all fields are guarded by Queue.mu.
@@ -225,15 +205,14 @@ type job struct {
 	fn       Func
 	result   any
 	errMsg   string
-	// err retains the typed failure (errMsg is its rendered form) so the
-	// HTTP layer can errors.As it — e.g. to answer 429 for a job that
-	// failed on budget exhaustion.
-	err error
+	err      error // the typed failure errMsg renders
 	// cancelRequested distinguishes an explicit DELETE from a deadline
 	// expiry; cancel aborts a running job's context.
 	cancelRequested bool
 	cancel          context.CancelFunc
-	watchers        []chan View
+	// changed is closed on every transition and replaced, except on the
+	// terminal one: it then stays closed.
+	changed chan struct{}
 }
 
 func (j *job) view() View {
@@ -245,6 +224,7 @@ func (j *job) view() View {
 		CreatedAt:      j.created,
 		Error:          j.errMsg,
 		Result:         j.result,
+		Err:            j.err,
 	}
 	if j.traceID != 0 {
 		v.TraceID = j.traceID.String()
@@ -278,11 +258,9 @@ type Queue struct {
 	active   int     // jobs in a non-terminal state
 	execEWMA float64 // smoothed execution seconds, feeds RetryAfter
 
-	// Weighted-fair dequeue state: one FIFO per namespace, walked
-	// round-robin with per-namespace credits refilled from Options.Weights.
+	// Round-robin dequeue state: one FIFO per namespace, walked in nsOrder.
 	nsQueues map[string][]*job
 	nsOrder  []string
-	nsCredit map[string]int
 	nsIdx    int
 	queued   int // jobs occupying queue capacity (settled at dequeue)
 
@@ -303,7 +281,6 @@ func New(opts Options) *Queue {
 		jobs:       make(map[string]*job),
 		byKey:      make(map[string]string),
 		nsQueues:   make(map[string][]*job),
-		nsCredit:   make(map[string]int),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
@@ -389,21 +366,18 @@ func (q *Queue) Submit(req Request) (View, error) {
 	if timeout <= 0 {
 		timeout = q.opts.DefaultTimeout
 	}
-	ns := req.Namespace
-	if ns == "" {
-		ns = Namespace(req.IdempotencyKey)
-	}
 	q.seq++
 	j := &job{
 		id:      fmt.Sprintf("j-%08d", q.seq),
 		kind:    req.Kind,
 		key:     req.IdempotencyKey,
-		ns:      ns,
+		ns:      req.Namespace,
 		state:   StateQueued,
 		created: q.opts.Now(),
 		timeout: timeout,
 		traceID: req.TraceID,
 		fn:      req.Fn,
+		changed: make(chan struct{}),
 	}
 	q.enqueueLocked(j)
 	q.jobs[j.id] = j
@@ -430,19 +404,10 @@ func (q *Queue) enqueueLocked(j *job) {
 	q.queued++
 }
 
-// weightOf returns a namespace's dequeue weight (>= 1).
-func (q *Queue) weightOf(ns string) int {
-	if w := q.opts.Weights[ns]; w > 1 {
-		return w
-	}
-	return 1
-}
-
-// dequeueLocked pops the next job under deficit round-robin: each
-// namespace dequeues up to its weight, then the turn passes to the next.
-// Jobs settled while queued (canceled) are dropped lazily here, releasing
-// their queue-capacity slot. Returns nil when nothing is queued. Callers
-// hold q.mu.
+// dequeueLocked pops the next job round-robin: one job from the current
+// namespace, then the turn passes to the next. Jobs settled while queued
+// (canceled) are dropped lazily here, releasing their queue-capacity slot.
+// Returns nil when nothing is queued. Callers hold q.mu.
 func (q *Queue) dequeueLocked() *job {
 	for q.queued > 0 {
 		if q.nsIdx >= len(q.nsOrder) {
@@ -459,20 +424,14 @@ func (q *Queue) dequeueLocked() *job {
 			// Namespace drained: retire it from the rotation (it re-registers
 			// on its next submission).
 			delete(q.nsQueues, ns)
-			delete(q.nsCredit, ns)
 			q.nsOrder = append(q.nsOrder[:q.nsIdx], q.nsOrder[q.nsIdx+1:]...)
 			q.opts.Metrics.Gauge("jobs_fair_namespaces").Set(float64(len(q.nsOrder)))
 			continue
 		}
-		if q.nsCredit[ns] <= 0 {
-			q.nsCredit[ns] = q.weightOf(ns)
-		}
 		j := fifo[0]
 		q.nsQueues[ns] = fifo[1:]
 		q.queued--
-		if q.nsCredit[ns]--; q.nsCredit[ns] <= 0 {
-			q.nsIdx++ // credit spent: the turn passes on
-		}
+		q.nsIdx++
 		q.opts.Metrics.Counter("jobs_fair_dequeues_total", "namespace", nsLabel(ns)).Inc()
 		return j
 	}
@@ -512,8 +471,8 @@ func (q *Queue) evictLocked() {
 	}
 }
 
-// Get returns a job's current view. Evicted (or never-submitted) IDs
-// report false.
+// Get returns a job's current view, its typed failure included. Evicted
+// (or never-submitted) IDs report false.
 func (q *Queue) Get(id string) (View, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -523,19 +482,6 @@ func (q *Queue) Get(id string) (View, bool) {
 		return View{}, false
 	}
 	return j.view(), true
-}
-
-// Err returns the typed error a failed job settled with (nil for other
-// states and for unknown or evicted jobs). The HTTP layer uses it to map
-// failure causes to status codes.
-func (q *Queue) Err(id string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil
-	}
-	return j.err
 }
 
 // Cancel requests cancellation of a job: a queued job is canceled
@@ -570,58 +516,28 @@ func (q *Queue) Cancel(id string) (View, bool) {
 	return j.view(), true
 }
 
-// Watch subscribes to a job's state transitions: the current view is
-// returned immediately, and every subsequent transition (including the
-// terminal one, after which the channel closes) arrives on ch. A slow
-// receiver can lose intermediate frames — the channel close itself is the
-// reliable terminal signal, and watchers re-read the final view via Get.
-// cancel unsubscribes; it is safe to call after the channel closed.
-func (q *Queue) Watch(id string) (cur View, ch <-chan View, cancel func(), ok bool) {
+// Watch returns a job's current view and a channel that closes at its next
+// transition. A watcher loops: read the view, stop if it is terminal, else
+// wait on the channel and Watch again. Nothing is ever dropped or blocks a
+// worker, and the loop always ends on the terminal view; a slow watcher
+// may see intermediate states coalesced. A terminal job's channel is
+// already closed.
+func (q *Queue) Watch(id string) (View, <-chan struct{}, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
 	if !ok {
-		return View{}, nil, nil, false
+		return View{}, nil, false
 	}
-	// A job emits at most queued→running→terminal after subscription, so a
-	// small buffer normally guarantees delivery without blocking the worker.
-	c := make(chan View, q.opts.WatchBuffer)
-	if j.state.Terminal() {
-		close(c)
-		return j.view(), c, func() {}, true
-	}
-	j.watchers = append(j.watchers, c)
-	cancelFn := func() {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		for i, w := range j.watchers {
-			if w == c {
-				j.watchers = append(j.watchers[:i], j.watchers[i+1:]...)
-				return
-			}
-		}
-	}
-	return j.view(), c, cancelFn, true
+	return j.view(), j.changed, true
 }
 
-// notifyLocked fans a job's current view out to its watchers, closing them
-// on a terminal transition. Callers hold q.mu.
+// notifyLocked wakes a job's watchers: it closes the change channel and,
+// unless the job is terminal, arms a fresh one. Callers hold q.mu.
 func (q *Queue) notifyLocked(j *job) {
-	if len(j.watchers) == 0 {
-		return
-	}
-	v := j.view()
-	for _, w := range j.watchers {
-		select {
-		case w <- v:
-		default: // a stalled subscriber must not block the worker
-		}
-	}
-	if j.state.Terminal() {
-		for _, w := range j.watchers {
-			close(w)
-		}
-		j.watchers = nil
+	close(j.changed)
+	if !j.state.Terminal() {
+		j.changed = make(chan struct{})
 	}
 }
 

@@ -314,6 +314,8 @@ func TestDrainDeadlineCancelsStuckJobs(t *testing.T) {
 	}
 }
 
+// TestWatchSeesTransitions runs several watchers of one job at once (run
+// with -race): each loops Watch -> wait -> Watch and must end on done.
 func TestWatchSeesTransitions(t *testing.T) {
 	q := New(Options{Workers: 1})
 	defer q.Close()
@@ -326,20 +328,68 @@ func TestWatchSeesTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, ch, cancel, ok := q.Watch(v.ID)
+	const watchers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < watchers; w++ {
+		cur, changed, ok := q.Watch(v.ID)
+		if !ok {
+			t.Fatal("Watch: unknown job")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			states := []State{cur.State}
+			for !cur.State.Terminal() {
+				<-changed
+				if cur, changed, ok = q.Watch(v.ID); !ok {
+					t.Error("job disappeared mid-watch")
+					return
+				}
+				states = append(states, cur.State)
+			}
+			if cur.State != StateDone {
+				t.Errorf("watch ended on %s (saw %v), want done", cur.State, states)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestWatchIdleWatcherEndsOnDone parks a watcher that never looks at its
+// channel while the job goes queued -> running -> done: the transitions
+// neither block the worker nor get lost, and the watcher's next look ends
+// on done.
+func TestWatchIdleWatcherEndsOnDone(t *testing.T) {
+	q := New(Options{Workers: 1})
+	defer q.Close()
+
+	release := make(chan struct{})
+	v, err := q.Submit(Request{Fn: func(ctx context.Context) (any, error) {
+		<-release
+		return "ok", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, changed, ok := q.Watch(v.ID)
 	if !ok {
 		t.Fatal("Watch: unknown job")
 	}
-	defer cancel()
 	close(release)
+	waitTerminal(t, q, v.ID) // two transitions pass the idle watcher by
 
-	states := []State{cur.State}
-	for w := range ch {
-		states = append(states, w.State)
+	select {
+	case <-changed:
+	default:
+		t.Fatal("change channel still open after the job settled")
 	}
-	last := states[len(states)-1]
-	if last != StateDone {
-		t.Fatalf("watch ended on %s (saw %v), want done", last, states)
+	cur, changed, ok := q.Watch(v.ID)
+	if !ok || cur.State != StateDone || cur.Result != "ok" {
+		t.Fatalf("watcher's next look: ok=%v view=%+v, want done/ok", ok, cur)
+	}
+	if _, open := <-changed; open {
+		t.Fatal("terminal job's change channel is open")
 	}
 }
 
@@ -351,13 +401,12 @@ func TestWatchTerminalJobClosesImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, q, v.ID)
-	cur, ch, cancel, ok := q.Watch(v.ID)
+	cur, changed, ok := q.Watch(v.ID)
 	if !ok || !cur.State.Terminal() {
 		t.Fatalf("Watch on settled job: ok=%v state=%s", ok, cur.State)
 	}
-	defer cancel()
-	if _, open := <-ch; open {
-		t.Fatal("terminal job's watch channel stayed open")
+	if _, open := <-changed; open {
+		t.Fatal("terminal job's change channel stayed open")
 	}
 }
 

@@ -79,6 +79,10 @@ type Mission struct {
 	// none.
 	obstacles map[grid.NodeID]bool
 
+	// moves is ExecuteStep's per-asset scratch; after a step it holds that
+	// step's realized moves (see LastMoves).
+	moves []rewardfn.Move
+
 	step          int
 	done          bool
 	foundBy       int
@@ -418,7 +422,8 @@ func (m *Mission) ExecuteStep(acts []Action) (rewardfn.Vector, error) {
 	if len(acts) != len(m.sc.Team) {
 		return rewardfn.Vector{}, fmt.Errorf("sim: %d actions for %d assets", len(acts), len(m.sc.Team))
 	}
-	moves := make([]rewardfn.Move, len(acts))
+	m.moves = append(m.moves[:0], make([]rewardfn.Move, len(acts))...)
+	moves := m.moves
 	for i, a := range acts {
 		from := m.cur[i]
 		if !a.IsWait() {
@@ -489,6 +494,12 @@ func (m *Mission) ExecuteStep(acts []Action) (rewardfn.Vector, error) {
 	}
 	return r, nil
 }
+
+// LastMoves returns the moves the latest ExecuteStep realized, one per
+// asset: endpoints, edge weight, commanded speed and weather speed factor,
+// so Time and Fuel are exactly what the step charged. The slice is reused
+// by the next step.
+func (m *Mission) LastMoves() []rewardfn.Move { return m.moves }
 
 // Result summarizes the mission so far (final if Done).
 func (m *Mission) Result() Result {

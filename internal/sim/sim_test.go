@@ -504,6 +504,46 @@ func TestWeatherScalesMoves(t *testing.T) {
 	}
 }
 
+// TestLastMovesMatchCharges checks that LastMoves reports exactly what each
+// step charged, weather included: summed per asset, the moves' Time and Fuel
+// equal the mission's TimeSpent and FuelSpent after every step.
+func TestLastMovesMatchCharges(t *testing.T) {
+	sc := toyScenario(t)
+	sc.Weather = halfSpeed{}
+	g := sc.Grid
+	p := &scripted{seqs: [][]Action{
+		nil,
+		{toward(g, 9, 8), toward(g, 8, 7)},
+	}}
+	spentT := make([]float64, len(sc.Team))
+	spentF := make([]float64, len(sc.Team))
+	steps := 0
+	_, err := Run(sc, p, RunOptions{OnStep: func(m *Mission, acts []Action) {
+		steps++
+		moves := m.LastMoves()
+		if len(moves) != len(acts) {
+			t.Fatalf("step %d: %d moves for %d actions", m.Step(), len(moves), len(acts))
+		}
+		for i, mv := range moves {
+			if mv.To != m.Cur(i) || mv.Wait != acts[i].IsWait() {
+				t.Errorf("step %d asset %d: move %v does not match action %v ending at %d", m.Step(), i, mv, acts[i], m.Cur(i))
+			}
+			spentT[i] += mv.Time()
+			spentF[i] += mv.Fuel()
+			if spentT[i] != m.TimeSpent(i) || spentF[i] != m.FuelSpent(i) {
+				t.Errorf("step %d asset %d: moves sum to time %v fuel %v, mission charged %v / %v",
+					m.Step(), i, spentT[i], spentF[i], m.TimeSpent(i), m.FuelSpent(i))
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if steps == 0 {
+		t.Fatal("no steps observed")
+	}
+}
+
 // halfSpeed is a uniform adverse field for tests.
 type halfSpeed struct{}
 

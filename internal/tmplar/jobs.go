@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/jobs"
@@ -28,19 +29,17 @@ type JobPlanRequest struct {
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
 }
 
-// jobsUnavailable answers for hand-built servers without a queue.
-func (s *Server) jobsUnavailable(w http.ResponseWriter) bool {
-	if s.jobs == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"job queue not available"})
-		return true
+// jobLane picks a job's fairness lane: the idempotency key's tenant prefix
+// (before the first '/') when it has one, else the job's grid, so one
+// grid's burst cannot starve another grid's jobs.
+func jobLane(key, grid string) string {
+	if i := strings.IndexByte(key, '/'); i > 0 {
+		return key[:i]
 	}
-	return false
+	return "grid:" + grid
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.jobsUnavailable(w) {
-		return
-	}
 	var req JobPlanRequest
 	if !s.decodePlanBody(w, r, &req) {
 		return
@@ -69,18 +68,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {
 		traceID = sp.TraceID
 	}
-	// Fairness lane: an explicit key namespace (prefix before '/') wins;
-	// otherwise jobs queue per tenant, so one grid's burst cannot starve
-	// another grid's jobs.
-	namespace := ""
-	if jobs.Namespace(key) == "" {
-		namespace = "grid:" + req.Grid
-	}
 	plan := req.PlanRequest
 	view, err := s.jobs.Submit(jobs.Request{
 		Kind:           "plan",
 		IdempotencyKey: key,
-		Namespace:      namespace,
+		Namespace:      jobLane(key, req.Grid),
 		Timeout:        s.deadlineFor(plan),
 		TraceID:        traceID,
 		Fn: func(ctx context.Context) (any, error) {
@@ -115,9 +107,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if s.jobsUnavailable(w) {
-		return
-	}
 	view, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{"unknown job"})
@@ -128,8 +117,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	// resource) so clients see one consistent admission-control signal.
 	// Every other state, failed or not, answers 200.
 	status := http.StatusOK
-	if err := s.jobs.Err(view.ID); view.State == jobs.StateFailed && err != nil {
-		if st, _ := planFailure(err); st == http.StatusTooManyRequests {
+	if view.State == jobs.StateFailed && view.Err != nil {
+		if st, _ := planFailure(view.Err); st == http.StatusTooManyRequests {
 			status = st
 		}
 	}
@@ -137,9 +126,6 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if s.jobsUnavailable(w) {
-		return
-	}
 	view, ok := s.jobs.Cancel(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{"unknown job"})
@@ -153,27 +139,20 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 //	event: state
 //	data: {job view JSON}
 //
-// frame per transition starting with the current state, and closes after
+// frame per observed state starting with the current one, and closes after
 // the terminal one. The shared obs SSE writer supplies the anti-buffering
 // headers, the flush-per-frame discipline, and keep-alive comments while
 // the job sits queued or running without transitions.
 //
-// The watch channel is best-effort: the queue drops frames rather than
-// block a worker on a slow reader, and closes the channel at the terminal
-// transition. A dropped-then-closed terminal frame must not be lost — on
-// close this handler re-reads the job's final view and writes it, so
-// every client sees the terminal state exactly where the stream ends.
+// Each frame re-reads the job's view after its change channel fires, so
+// the stream always ends on the terminal frame; a slow reader may see
+// intermediate states coalesced.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if s.jobsUnavailable(w) {
-		return
-	}
-	id := r.PathValue("id")
-	cur, ch, cancel, ok := s.jobs.Watch(id)
+	v, changed, ok := s.jobs.Watch(r.PathValue("id"))
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{"unknown job"})
 		return
 	}
-	defer cancel()
 	st, ok := obs.NewSSEStream(w)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{"streaming unsupported"})
@@ -183,40 +162,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		stop := st.KeepAlive(r.Context(), s.opts.SSEKeepAlive)
 		defer stop()
 	}
-
-	write := func(v jobs.View) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		return st.WriteEvent("state", "", b)
-	}
-	last := cur
-	if !write(cur) || cur.State.Terminal() {
-		return
-	}
 	for {
+		b, err := json.Marshal(v)
+		if err != nil || !st.WriteEvent("state", "", b) || v.State.Terminal() {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case v, ok := <-ch:
-			if !ok {
-				// Channel closed: the job settled. If the terminal frame
-				// was dropped (the last view we wrote is non-terminal),
-				// fetch and write the final state before ending the
-				// stream. Eviction can outrace us; then there is nothing
-				// left to report.
-				if !last.State.Terminal() {
-					if v, ok := s.jobs.Get(id); ok && v.State.Terminal() {
-						write(v)
-					}
-				}
-				return
-			}
-			last = v
-			if !write(v) || v.State.Terminal() {
-				return
-			}
+		case <-changed:
+		}
+		if v, changed, ok = s.jobs.Watch(v.ID); !ok {
+			return // evicted between frames: nothing left to report
 		}
 	}
 }

@@ -14,15 +14,11 @@ import (
 	"github.com/routeplanning/mamorl/internal/jobs"
 )
 
-// jobServer is a derivedServer with its own async job queue attached, so
-// job-plane tests neither retrain the model nor share queue state.
+// jobServer is a derivedServer with a sized job queue, so job-plane tests
+// neither retrain the model nor share queue state.
 func jobServer(t testing.TB, workers, depth int) *Server {
 	t.Helper()
-	s := derivedServer(t, Options{})
-	s.jobs = jobs.New(jobs.Options{Workers: workers, QueueDepth: depth,
-		DefaultTimeout: s.opts.JobTimeout, Metrics: s.opts.Metrics})
-	t.Cleanup(s.Close)
-	return s
+	return derivedServer(t, Options{JobWorkers: workers, JobQueueDepth: depth})
 }
 
 // pollJob polls GET /api/jobs/{id} until the job settles.
@@ -209,6 +205,43 @@ func TestJobIdempotencyKeyOverHTTP(t *testing.T) {
 	}
 }
 
+// TestJobLaneSelection pins the fairness lane a plan job queues in: the
+// idempotency key's tenant prefix (before the first '/') when it has one,
+// else the job's grid.
+func TestJobLaneSelection(t *testing.T) {
+	for key, want := range map[string]string{
+		"":               "grid:ops-area",
+		"plain":          "grid:ops-area",
+		"tenant/plan-1":  "tenant",
+		"/leading-slash": "grid:ops-area", // an empty prefix is not a tenant
+		"a/b/c":          "a",
+	} {
+		if got := jobLane(key, "ops-area"); got != want {
+			t.Errorf("jobLane(%q) = %q, want %q", key, got, want)
+		}
+	}
+
+	// Over HTTP, the lane reaches the queue's namespace metric label.
+	s := jobServer(t, 1, 8)
+	h := s.Handler()
+	for _, key := range []string{"", "acme/m-1"} {
+		rec := do(t, h, "POST", "/api/jobs/plan", JobPlanRequest{PlanRequest: opsPlanRequest(), IdempotencyKey: key})
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit key %q: %d %s", key, rec.Code, rec.Body.String())
+		}
+		var v jobs.View
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatal(err)
+		}
+		pollJob(t, h, v.ID)
+	}
+	for _, lane := range []string{"grid:ops-area", "acme"} {
+		if got := s.Metrics().CounterValue("jobs_fair_dequeues_total", "namespace", lane); got != 1 {
+			t.Errorf("jobs_fair_dequeues_total{namespace=%q} = %v, want 1", lane, got)
+		}
+	}
+}
+
 func TestJobEventsSSE(t *testing.T) {
 	s := jobServer(t, 1, 8)
 	ts := httptest.NewServer(s.Handler())
@@ -267,12 +300,4 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-func TestJobsUnavailableWithoutQueue(t *testing.T) {
-	s := derivedServer(t, Options{}) // no queue attached
-	rec := do(t, s.Handler(), "POST", "/api/jobs/plan", opsPlanRequest())
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("queue-less server: %d", rec.Code)
-	}
 }

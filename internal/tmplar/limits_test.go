@@ -14,18 +14,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/jobs"
 )
 
-// budgetJobServer is jobServer with budget ceilings and queue knobs.
-func budgetJobServer(t *testing.T, opts Options, qopts jobs.Options) *Server {
-	t.Helper()
-	s := derivedServer(t, opts)
-	if qopts.Metrics == nil {
-		qopts.Metrics = s.opts.Metrics
-	}
-	s.jobs = jobs.New(qopts)
-	t.Cleanup(s.Close)
-	return s
-}
-
 func TestPlanOverBudgetReturns429(t *testing.T) {
 	s := derivedServer(t, Options{MaxNodes: 1})
 	rec := do(t, s.Handler(), "POST", "/api/plan", opsPlanRequest())
@@ -83,7 +71,7 @@ func TestPlanWithinBudgetIsByteIdentical(t *testing.T) {
 }
 
 func TestJobOverBudgetAnswers429(t *testing.T) {
-	s := budgetJobServer(t, Options{MaxNodes: 1}, jobs.Options{Workers: 1, QueueDepth: 8})
+	s := derivedServer(t, Options{MaxNodes: 1, JobWorkers: 1, JobQueueDepth: 8})
 	h := s.Handler()
 
 	rec := do(t, h, "POST", "/api/jobs/plan", opsPlanRequest())
@@ -137,15 +125,12 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 	return w.ResponseRecorder.Write(p)
 }
 
-// TestJobEventsSlowReaderStillSeesTerminalFrame is the regression test for
-// the lost-terminal-frame bug: with a one-frame watch buffer and a reader
-// stalled on the first frame, the running frame fills the buffer and the
-// terminal frame is dropped before the channel closes. The handler must
-// re-read the final view on close and write it, so the stream still ends
-// with the terminal state.
+// TestJobEventsSlowReaderStillSeesTerminalFrame stalls the reader on the
+// first frame while the job runs to completion behind it: the stream must
+// still end with the terminal state (the running state may be coalesced
+// away).
 func TestJobEventsSlowReaderStillSeesTerminalFrame(t *testing.T) {
-	s := budgetJobServer(t, Options{},
-		jobs.Options{Workers: 1, QueueDepth: 8, WatchBuffer: 1})
+	s := derivedServer(t, Options{JobWorkers: 1, JobQueueDepth: 8})
 	h := s.Handler()
 
 	// Occupy the only worker so the target job sits queued while the
@@ -177,8 +162,7 @@ func TestJobEventsSlowReaderStillSeesTerminalFrame(t *testing.T) {
 	}()
 
 	// The handler is now blocked writing the "queued" frame. Let the job
-	// run to completion behind it: the terminal notification finds the
-	// watch buffer full (the running frame sits in it) and is dropped.
+	// run through running to done behind it.
 	<-w.entered
 	close(gate)
 	deadline := time.Now().Add(5 * time.Second)
@@ -215,7 +199,7 @@ func TestJobEventsSlowReaderStillSeesTerminalFrame(t *testing.T) {
 		t.Fatalf("no SSE frames in %q", w.Body.String())
 	}
 	if last := states[len(states)-1]; last != jobs.StateDone {
-		t.Fatalf("stream ended on %s (saw %v), want done despite the dropped frame", last, states)
+		t.Fatalf("stream ended on %s (saw %v), want done despite the stalled reader", last, states)
 	}
 }
 
@@ -223,8 +207,7 @@ func TestJobEventsSlowReaderStillSeesTerminalFrame(t *testing.T) {
 // sits running without transitions and expects keep-alive comment frames
 // to arrive in the gap.
 func TestJobEventsKeepAliveOnIdleStream(t *testing.T) {
-	s := budgetJobServer(t, Options{SSEKeepAlive: 5 * time.Millisecond},
-		jobs.Options{Workers: 1, QueueDepth: 8})
+	s := derivedServer(t, Options{SSEKeepAlive: 5 * time.Millisecond, JobWorkers: 1, JobQueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

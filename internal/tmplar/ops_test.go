@@ -204,14 +204,6 @@ func TestStreamMounted(t *testing.T) {
 	}
 }
 
-func TestStreamWithoutSampler(t *testing.T) {
-	s := derivedServer(t, Options{})
-	rec := do(t, s.Handler(), "GET", "/debug/metrics/stream", nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("nil-sampler stream = %d, want 503", rec.Code)
-	}
-}
-
 func TestSpanRateCounter(t *testing.T) {
 	s := server(t)
 	before := s.Metrics().CounterValue("trace_spans_total", "span", "request")

@@ -106,10 +106,6 @@ type Options struct {
 	// memory for the life of the process.
 	JobRetention  time.Duration
 	JobMaxRecords int
-	// JobWeights biases the weighted-fair dequeue across idempotency-key
-	// namespaces (the prefix before the first '/'); unlisted namespaces
-	// weigh 1. nil keeps every namespace equal.
-	JobWeights map[string]int
 	// MaxNodes / MaxSamples / MaxBytes bound one planning request's
 	// resource budget: nodes expanded by planners, training samples
 	// drawn, and approximate bytes allocated for mission state. A request
@@ -188,10 +184,6 @@ type Server struct {
 	jobs     *jobs.Queue
 	sloEng   *slo.Engine
 	profiler *prof.Profiler
-	// modelSource/modelArtifact record where the default model came from:
-	// ("trained", artifact-id-or-empty) or ("registry", artifact-id).
-	modelSource   string
-	modelArtifact string
 }
 
 // NewServer trains the Approx-MaMoRL model (Section 4.2's pipeline) and
@@ -206,18 +198,25 @@ func NewServer(seed int64) (*Server, error) {
 // Section 4.2 pipeline runs in-process as before.
 func NewServerOpts(seed int64, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	registerHelp(opts.Metrics)
-	ring := trace.NewRing(opts.TraceBuffer)
-	tracer := trace.New(ring, trace.NewHistogramSink(opts.Metrics))
-
-	models, err := newModelCache(seed, opts, tracer)
+	models, err := newModelCache(seed, opts)
 	if err != nil {
 		return nil, err
 	}
+	return newServer(models, opts)
+}
+
+// newServer assembles a server around a model cache: tracer and trace
+// ring, the default model, planner catalog, sampler, SLO engine, profiler
+// and job queue.
+func newServer(models *modelCache, opts Options) (*Server, error) {
+	registerHelp(opts.Metrics)
+	ring := trace.NewRing(opts.TraceBuffer)
+	tracer := trace.New(ring, trace.NewHistogramSink(opts.Metrics))
 	// The default model resolves eagerly so startup keeps its contract:
 	// train (or registry warm-start) before the server answers ready, and
-	// fail construction outright when training cannot run.
-	if _, err := models.resolve(context.Background(), ""); err != nil {
+	// fail construction outright when training cannot run. A model cache
+	// shared with another server has it already.
+	if err := models.resolveDefault(tracer); err != nil {
 		return nil, err
 	}
 	cat := catalog.New(catalog.Options{
@@ -245,8 +244,9 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 	}
 	// The SLO engine shares the sampler's cadence: evaluating right after
 	// the runtime collector means slo_state / slo_burn_rate land in the
-	// same sample frame the dashboard streams. Building it here (after
-	// training) baselines its windows past the training-time metrics.
+	// same sample frame the dashboard streams. Building it and the sampler
+	// after training baselines their windows past the training-time
+	// metrics.
 	var sloEng *slo.Engine
 	if len(opts.SLOs) > 0 {
 		sloEng = slo.NewEngine(slo.EngineOptions{
@@ -268,33 +268,28 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 		})
 		onTick = append(onTick, sloEng.Tick)
 	}
-	sampler := obs.NewSampler(opts.Metrics, obs.SamplerOptions{
-		Interval: opts.SampleInterval,
-		Capacity: opts.SampleCapacity,
-		OnTick:   onTick,
-	})
-	queue := jobs.New(jobs.Options{
-		Workers:        opts.JobWorkers,
-		QueueDepth:     opts.JobQueueDepth,
-		DefaultTimeout: opts.JobTimeout,
-		Retention:      opts.JobRetention,
-		MaxTerminal:    opts.JobMaxRecords,
-		Weights:        opts.JobWeights,
-		Metrics:        opts.Metrics,
-		Tracer:         tracer,
-	})
 	return &Server{
-		cat:           cat,
-		models:        models,
-		opts:          opts,
-		ring:          ring,
-		tracer:        tracer,
-		sampler:       sampler,
-		jobs:          queue,
-		sloEng:        sloEng,
-		profiler:      profiler,
-		modelSource:   models.defaultSource,
-		modelArtifact: models.defaultArtifact,
+		cat:    cat,
+		models: models,
+		opts:   opts,
+		ring:   ring,
+		tracer: tracer,
+		sampler: obs.NewSampler(opts.Metrics, obs.SamplerOptions{
+			Interval: opts.SampleInterval,
+			Capacity: opts.SampleCapacity,
+			OnTick:   onTick,
+		}),
+		jobs: jobs.New(jobs.Options{
+			Workers:        opts.JobWorkers,
+			QueueDepth:     opts.JobQueueDepth,
+			DefaultTimeout: opts.JobTimeout,
+			Retention:      opts.JobRetention,
+			MaxTerminal:    opts.JobMaxRecords,
+			Metrics:        opts.Metrics,
+			Tracer:         tracer,
+		}),
+		sloEng:   sloEng,
+		profiler: profiler,
 	}, nil
 }
 
@@ -303,24 +298,19 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 // training pipeline, for the default) once. The catalog's single-flight
 // layer dedups per (grid, model) key; this layer dedups across grids.
 type modelCache struct {
-	seed   int64
-	opts   Options
-	tracer *trace.Tracer
-	store  *registry.Store // nil without a ModelDir
+	seed  int64
+	opts  Options
+	store *registry.Store // nil without a ModelDir
 
 	mu    sync.Mutex
 	bySel map[string]*catalog.ModelArtifact
-	// Default-model provenance, set when the "" selector first resolves.
-	defaultSource   string
-	defaultArtifact string
 }
 
-func newModelCache(seed int64, opts Options, tracer *trace.Tracer) (*modelCache, error) {
+func newModelCache(seed int64, opts Options) (*modelCache, error) {
 	mc := &modelCache{
-		seed:   seed,
-		opts:   opts,
-		tracer: tracer,
-		bySel:  make(map[string]*catalog.ModelArtifact),
+		seed:  seed,
+		opts:  opts,
+		bySel: make(map[string]*catalog.ModelArtifact),
 	}
 	if opts.ModelDir != "" {
 		store, err := registry.Open(opts.ModelDir)
@@ -341,31 +331,48 @@ func (mc *modelCache) hasDefault() bool {
 	return ok
 }
 
+// provenance reports where the default model came from: ("trained",
+// artifact-id-or-empty) or ("registry", artifact-id); empty until it
+// resolves.
+func (mc *modelCache) provenance() (source, artifactID string) {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if art := mc.bySel[""]; art != nil {
+		return art.Source, art.ArtifactID
+	}
+	return "", ""
+}
+
+// resolveDefault resolves the default model (the "" selector) once:
+// registry warm-start when possible, else the Section 4.2 training
+// pipeline, traced into tracer. It is a no-op once resolved.
+func (mc *modelCache) resolveDefault(tracer *trace.Tracer) error {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if _, ok := mc.bySel[""]; ok {
+		return nil
+	}
+	art, err := mc.loadOrTrainDefault(tracer)
+	if err != nil {
+		return err
+	}
+	mc.bySel[""] = art
+	return nil
+}
+
 // resolve maps a model selector to an artifact: "" is the default model
-// (registry warm-start when possible, else the Section 4.2 training
-// pipeline), "seed:<n>" and "name:<grid>" resolve the newest matching
-// registry artifact, and anything else is an exact content-addressed
-// artifact ID. Non-default selectors never train on a miss — an unknown
-// selector is a client error (404), not a request to spend minutes fitting.
+// (resolved at server construction), "seed:<n>" and "name:<grid>" resolve
+// the newest matching registry artifact, and anything else is an exact
+// content-addressed artifact ID. Non-default selectors never train on a
+// miss — an unknown selector is a client error (404), not a request to
+// spend minutes fitting.
 func (mc *modelCache) resolve(_ context.Context, selector string) (*catalog.ModelArtifact, error) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if art, ok := mc.bySel[selector]; ok {
 		return art, nil
 	}
-	var (
-		art *catalog.ModelArtifact
-		err error
-	)
-	if selector == "" {
-		art, err = mc.loadOrTrainDefault()
-		if err == nil {
-			mc.defaultSource = art.Source
-			mc.defaultArtifact = art.ArtifactID
-		}
-	} else {
-		art, err = mc.resolveRegistry(selector)
-	}
+	art, err := mc.resolveRegistry(selector)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +390,7 @@ func (mc *modelCache) validate(selector string) error {
 	}
 	mc.mu.Unlock()
 	if selector == "" {
-		return nil // the default trains on demand; always resolvable
+		return nil // the default resolves at server construction
 	}
 	_, err := mc.manifestFor(selector)
 	return err
@@ -452,7 +459,7 @@ func (mc *modelCache) manifestFor(selector string) (registry.Manifest, error) {
 // when a registry is configured). A corrupt or mismatched artifact falls
 // through to training — the registry is a cache, never a correctness
 // dependency.
-func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
+func (mc *modelCache) loadOrTrainDefault(tracer *trace.Tracer) (*catalog.ModelArtifact, error) {
 	opts := mc.opts
 	if mc.store != nil {
 		tg, err := approx.DefaultTrainingGrid(mc.seed)
@@ -479,7 +486,7 @@ func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
 		}
 	}
 
-	cfg := approx.TrainConfig{Seed: mc.seed, Tracer: mc.tracer, FitWorkers: opts.TrainWorkers, Metrics: opts.Metrics}
+	cfg := approx.TrainConfig{Seed: mc.seed, Tracer: tracer, FitWorkers: opts.TrainWorkers, Metrics: opts.Metrics}
 	pipe, err := approx.NewPipeline(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tmplar: training pipeline: %w", err)
@@ -510,32 +517,24 @@ func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
 // (the artifact ID is the newly registered one when a ModelDir is
 // configured).
 func (s *Server) ModelSource() (source, artifactID string) {
-	return s.modelSource, s.modelArtifact
+	return s.models.provenance()
 }
 
-// JobQueue returns the async planning job queue (nil only for hand-built
-// servers that bypassed NewServerOpts).
+// JobQueue returns the async planning job queue.
 func (s *Server) JobQueue() *jobs.Queue { return s.jobs }
 
 // DrainJobs stops accepting new jobs and waits for queued and running ones
 // to finish, canceling whatever is still in flight when ctx expires. Call
 // during graceful shutdown, after the HTTP listener stops.
 func (s *Server) DrainJobs(ctx context.Context) error {
-	if s.jobs == nil {
-		return nil
-	}
 	return s.jobs.Drain(ctx)
 }
 
 // Close releases the server's background resources (the job queue's
 // workers and the planner catalog), aborting any jobs still in flight.
 func (s *Server) Close() {
-	if s.jobs != nil {
-		s.jobs.Close()
-	}
-	if s.cat != nil {
-		s.cat.Close()
-	}
+	s.jobs.Close()
+	s.cat.Close()
 }
 
 // registerHelp documents the server's metric names for the Prometheus
@@ -579,8 +578,7 @@ func (s *Server) Profiler() *prof.Profiler { return s.profiler }
 
 // Sampler returns the time-series sampler behind /debug/metrics/stream.
 // The caller decides whether it ticks: run Sampler().Run(ctx) in a
-// goroutine for live streaming, or drive Tick() manually in tests. May be
-// nil only for hand-built servers that bypassed NewServerOpts.
+// goroutine for live streaming, or drive Tick() manually in tests.
 func (s *Server) Sampler() *obs.Sampler { return s.sampler }
 
 // PlanTimeout returns the effective per-request planning deadline.
@@ -618,12 +616,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/jobs/{id}/events", s.handleJobEvents)
 	mux.Handle("GET /metrics", obs.Handler(s.opts.Metrics))
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/metrics/stream", s.handleStream)
+	mux.Handle("GET /debug/metrics/stream", obs.StreamHandler(s.sampler, s.opts.SSEKeepAlive))
 	mux.HandleFunc("GET /debug/catalog", s.handleCatalogDebug)
 	mux.Handle("GET /debug/slo", s.sloEng.Handler())
 	mux.Handle("GET /debug/prof", s.profiler.ListHandler())
 	mux.Handle("GET /debug/prof/{id}", s.profiler.GetHandler())
-	mux.Handle("GET /debug/dash", obs.DashHandlerAll("/debug/metrics/stream", "/debug/slo", "/debug/prof", "/debug/catalog"))
+	mux.Handle("GET /debug/dash", obs.DashHandler("/debug/metrics/stream", "/debug/slo", "/debug/prof", "/debug/catalog"))
 	return s.instrument(recoverPanics(mux))
 }
 
@@ -988,7 +986,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // balancers should gate traffic on this endpoint.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	grids := s.cat.NumGrids()
-	modelLoaded := s.models != nil && s.models.hasDefault()
+	modelLoaded := s.models.hasDefault()
 	body := map[string]any{
 		"status": "ready", "grids": grids, "model_loaded": modelLoaded,
 	}
@@ -1003,11 +1001,12 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	// Provenance: a registry warm start means the server was ready the
 	// moment it came up, without paying the training cost; operators can
 	// see which artifact is serving.
-	if s.modelSource != "" {
-		body["model_source"] = s.modelSource
+	source, artifact := s.models.provenance()
+	if source != "" {
+		body["model_source"] = source
 	}
-	if s.modelArtifact != "" {
-		body["model_artifact"] = s.modelArtifact
+	if artifact != "" {
+		body["model_artifact"] = artifact
 	}
 	if !modelLoaded || grids == 0 {
 		body["status"] = "not ready"
@@ -1015,15 +1014,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// handleStream serves the sampler's history and live samples over SSE.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.sampler == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"metrics sampler not available"})
-		return
-	}
-	obs.StreamHandlerOpts(s.sampler, s.opts.SSEKeepAlive).ServeHTTP(w, r)
 }
 
 // gridInfo summarizes a registered grid.
@@ -1377,30 +1367,19 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		for i := range routes {
 			routes[i].Asset = i
 		}
+		// Legs are the simulator's own moves, so weather-slowed crossings
+		// cost here exactly what they cost the mission totals.
 		record := func(m *sim.Mission, acts []sim.Action) {
-			for i, a := range acts {
-				cur := m.Cur(i)
-				var leg RouteLeg
-				if a.IsWait() {
-					leg = RouteLeg{From: int32(cur), To: int32(cur), Wait: true, Time: rewardfn.WaitTime}
-				} else {
-					// Post-step, Cur is the destination; reconstruct the move
-					// from the recorded previous leg end (or the source).
-					from := team[i].Source
-					if n := len(routes[i].Legs); n > 0 {
-						from = grid.NodeID(routes[i].Legs[n-1].To)
-					}
-					w, err := m.Grid().EdgeWeight(from, cur)
-					if err != nil {
-						w = m.Grid().Distance(from, cur)
-					}
-					leg = RouteLeg{
-						From:  int32(from),
-						To:    int32(cur),
-						Speed: a.Speed,
-						Time:  vessel.MoveTime(w, float64(a.Speed)),
-						Fuel:  vessel.MoveFuel(w, float64(a.Speed)),
-					}
+			for i, mv := range m.LastMoves() {
+				leg := RouteLeg{
+					From: int32(mv.From),
+					To:   int32(mv.To),
+					Time: mv.Time(),
+					Fuel: mv.Fuel(),
+					Wait: mv.Wait,
+				}
+				if !mv.Wait {
+					leg.Speed = acts[i].Speed
 				}
 				routes[i].Legs = append(routes[i].Legs, leg)
 				routes[i].Time += leg.Time

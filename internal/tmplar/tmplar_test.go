@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/obs"
 )
@@ -459,6 +458,25 @@ func TestPlanWithWeatherAndRendezvous(t *testing.T) {
 	if heavy.TTotal <= calm.TTotal {
 		t.Errorf("basin-wide storm should cost time: %v vs %v", heavy.TTotal, calm.TTotal)
 	}
+	// Storm-slowed legs must cost what the mission charged: legs sum to
+	// their route, and the routes to the plan totals.
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	maxTime, sumFuel := 0.0, 0.0
+	for _, r := range heavy.Routes {
+		legTime, legFuel := 0.0, 0.0
+		for _, l := range r.Legs {
+			legTime += l.Time
+			legFuel += l.Fuel
+		}
+		if !near(legTime, r.Time) || !near(legFuel, r.Fuel) {
+			t.Errorf("asset %d: legs sum to time %v fuel %v, route says %v / %v", r.Asset, legTime, legFuel, r.Time, r.Fuel)
+		}
+		maxTime = math.Max(maxTime, r.Time)
+		sumFuel += r.Fuel
+	}
+	if !near(heavy.TTotal, maxTime) || !near(heavy.FTotal, sumFuel) {
+		t.Errorf("stormy totals t=%v f=%v, routes give max time %v and fuel %v", heavy.TTotal, heavy.FTotal, maxTime, sumFuel)
+	}
 
 	rv := base
 	rv.Rendezvous = true
@@ -472,23 +490,18 @@ func TestPlanWithWeatherAndRendezvous(t *testing.T) {
 }
 
 // derivedServer shares the expensively-trained model cache of the shared
-// server but gets its own catalog, metrics registry, and Options, so limit
-// and deadline tests neither retrain nor interfere with other tests.
+// server but is otherwise built like any server — its own catalog, job
+// queue, sampler, SLO engine, tracer, metrics registry and Options — so
+// limit, deadline and job tests neither retrain nor interfere with other
+// tests.
 func derivedServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	base := server(t)
-	opts = opts.withDefaults()
-	s := &Server{
-		models:        base.models,
-		opts:          opts,
-		modelSource:   base.modelSource,
-		modelArtifact: base.modelArtifact,
+	s, err := newServer(base.models, opts.withDefaults())
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.cat = catalog.New(catalog.Options{
-		Capacity:  opts.CatalogCapacity,
-		LoadModel: base.models.resolve,
-		Metrics:   opts.Metrics,
-	})
+	t.Cleanup(s.Close)
 	g, ok := base.lookupGrid("ops-area")
 	if !ok {
 		t.Fatal("ops-area missing from shared server")
