@@ -1,7 +1,7 @@
 GO ?= go
-BENCH_OUT ?= BENCH_8.json
+BENCH_OUT ?= BENCH_9.json
 # bench-compare inputs: the stored baseline and the report to vet against it.
-BENCH_OLD ?= BENCH_7.json
+BENCH_OLD ?= BENCH_8.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
@@ -29,17 +29,17 @@ test:
 race:
 	$(GO) test -race ./internal/... .
 
-# race-exec focuses the detector on the parallel experiment executor, the
-# simulator it fans out over, the lock-free trace ring they emit into, the
-# metrics sampler and its SSE subscribers, the SLO burn-rate engine, the
-# async job queue and its change-notify watches, the resource-budget
-# accounting, the model registry, the data-parallel training stack
-# (neural/linreg worker pools, flat sample tensors), the continuous
-# profiler's capture ring, and the tenant-aware planner catalog
-# (single-flight loads, LRU eviction, per-entry locking) — the packages
-# with real concurrency.
+# race-exec focuses the detector on the parallel experiment executor and the
+# memoized grids its concurrent cells share, the simulator it fans out over,
+# the lock-free trace ring they emit into, the metrics sampler and its SSE
+# subscribers, the SLO burn-rate engine, the async job queue and its
+# change-notify watches, the resource-budget accounting, the model registry,
+# the data-parallel training stack (neural/linreg worker pools, flat sample
+# tensors), the continuous profiler's capture ring, and the tenant-aware
+# planner catalog (single-flight loads, LRU eviction, per-entry locking) —
+# the packages with real concurrency.
 race-exec:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...
+	$(GO) test -race ./internal/experiments/... ./internal/grid/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...
 
 # loadgen-smoke drives a short open-loop run (2s at 20 rps) against an
 # in-process tmplard and fails if any default SLO breaches.

@@ -12,6 +12,7 @@ package mamorl_test
 import (
 	"context"
 	"flag"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -171,6 +172,27 @@ func benchTable6(b *testing.B, parallel int) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkGenerateSynthetic is the grid-generation rung of the Table 6
+// ladder: one seeded synthetic grid per op for each scenario shape, cycling
+// through the ten seeds a paper-scale block uses.
+func BenchmarkGenerateSynthetic(b *testing.B) {
+	for _, sc := range experiments.Table6Scenarios(experiments.DefaultParams()) {
+		p := sc.Params
+		b.Run(fmt.Sprintf("v%d-e%d-d%d", p.Nodes, p.Edges, p.MaxOutDegree), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := grid.GenerateSynthetic(grid.SyntheticConfig{
+					Nodes: p.Nodes, Edges: p.Edges, MaxOutDegree: p.MaxOutDegree,
+					Seed: p.Seed + int64(i%10)*7919,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -512,6 +534,8 @@ func BenchmarkMissionStep(b *testing.B) {
 // a map hit plus an LRU touch, and Do pays the planner reset. The cold case
 // alternates two keys through a capacity-1 catalog, so every Acquire misses,
 // loads, and evicts — the worst-case churn of an oversubscribed working set.
+// The hot-mission case resets once per 100 Decides, as serving does once per
+// mission, so the reset no longer dominates the per-Decide cost.
 func BenchmarkCatalogDecide(b *testing.B) {
 	h := harness(b)
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})
@@ -552,6 +576,31 @@ func BenchmarkCatalogDecide(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			decideVia(b, cat, catalog.Key{Grid: "bench"}, i)
+		}
+	})
+	b.Run("hot-mission", func(b *testing.B) {
+		const decidesPerMission = 100
+		cat := catalog.New(catalog.Options{LoadModel: loader})
+		defer cat.Close()
+		cat.InstallGrid("bench", g)
+		decideVia(b, cat, catalog.Key{Grid: "bench"}, 0) // warm the entry
+		b.ResetTimer()
+		for i := 0; i < b.N; i += decidesPerMission {
+			ent, err := cat.Acquire(ctx, catalog.Key{Grid: "bench"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := min(decidesPerMission, b.N-i)
+			err = ent.Do(ctx, 1, func(_ context.Context, pl *approx.Planner) error {
+				for j := i; j < i+n; j++ {
+					_ = pl.Decide(m, j%len(sc.Team))
+				}
+				return nil
+			})
+			ent.Release()
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("cold", func(b *testing.B) {

@@ -52,6 +52,7 @@ type AblationResult struct {
 // mechanism).
 func (h *Harness) RunAblation(ctx context.Context, p Params) ([]AblationResult, error) {
 	variants := AblationVariants()
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	type varOut struct {
 		res AblationResult

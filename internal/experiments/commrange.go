@@ -29,6 +29,7 @@ func (h *Harness) RunCommRange(ctx context.Context, p Params, factors []float64)
 	if len(factors) == 0 {
 		factors = []float64{0, 8, 4, 2}
 	}
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	type ptOut struct {
 		pt  CommRangePoint

@@ -51,6 +51,7 @@ func (h *Harness) RunFigure3(ctx context.Context, p Params, nnOpts neural.TrainO
 		out.Speedup = float64(nnDur) / float64(h.LinearTrainTime)
 	}
 
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	cp, cell := startCell(p, "cell.figure3")
 	defer cell.End()
@@ -106,6 +107,7 @@ func (h *Harness) RunFigure4(ctx context.Context, p Params) (Figure4Result, erro
 		Points:     make(map[string][]stats.Point2),
 		FrontShare: make(map[string]int),
 	}
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	type algoOut struct {
 		rs  RunStats
@@ -244,6 +246,7 @@ func (h *Harness) RunSweeps(ctx context.Context, subject string, base Params, qu
 	if quick {
 		p = base.Quick()
 	}
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	var out []SweepResult
 	for _, spec := range Sweeps(quick) {

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/geo"
@@ -71,6 +72,48 @@ type Params struct {
 	// set it via startCell; it is unexported so the public API stays
 	// Tracer-only.
 	traceParent *trace.Span
+	// grids shares generated grids across the cells of one driver call.
+	// Each driver sets a fresh one at entry; nil generates every grid
+	// afresh.
+	grids *gridMemo
+}
+
+// gridMemo generates each synthetic grid at most once: the algorithm cells
+// of a scenario block, the points of a sweep that keep the grid shape, and
+// the variants of the ablation all run on the same seeded grids. Sharing
+// one *grid.Grid is safe because a Grid is immutable once built (the
+// catalog shares grids across concurrent missions the same way). Entries
+// live until the driver returns and drops the memo.
+type gridMemo struct {
+	mu      sync.Mutex
+	entries map[grid.SyntheticConfig]*memoGrid
+}
+
+type memoGrid struct {
+	once sync.Once
+	g    *grid.Grid
+	err  error
+}
+
+func newGridMemo() *gridMemo {
+	return &gridMemo{entries: make(map[grid.SyntheticConfig]*memoGrid)}
+}
+
+// get returns gen(cfg), calling gen once per distinct cfg however many
+// goroutines ask concurrently. A nil memo calls gen every time.
+func (m *gridMemo) get(cfg grid.SyntheticConfig, gen func(grid.SyntheticConfig) (*grid.Grid, error)) (*grid.Grid, error) {
+	if m == nil {
+		return gen(cfg)
+	}
+	m.mu.Lock()
+	e, ok := m.entries[cfg]
+	if !ok {
+		e = &memoGrid{}
+		m.entries[cfg] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.g, e.err = gen(cfg) })
+	return e.g, e.err
 }
 
 // startCell opens one cell span named name under p's tracer (or under an
@@ -115,15 +158,16 @@ func (p Params) Quick() Params {
 }
 
 // scenarioFor builds the seeded RPP instance for one run: a synthetic grid
-// of the configured shape with the team spread across it and the
-// destination at the node farthest from the team.
+// of the configured shape (from p's grid memo, when the driver set one)
+// with the team spread across it and the destination at the node farthest
+// from the team.
 func scenarioFor(p Params, run int) (sim.Scenario, error) {
-	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{
+	g, err := p.grids.get(grid.SyntheticConfig{
 		Nodes:        p.Nodes,
 		Edges:        p.Edges,
 		MaxOutDegree: p.MaxOutDegree,
 		Seed:         p.Seed + int64(run)*7919,
-	})
+	}, grid.GenerateSynthetic)
 	if err != nil {
 		return sim.Scenario{}, fmt.Errorf("experiments: run %d grid: %w", run, err)
 	}

@@ -27,6 +27,7 @@ type RendezvousRow struct {
 // enabled.
 func (h *Harness) RunRendezvous(ctx context.Context, p Params) ([]RendezvousRow, error) {
 	algos := []string{AlgoApprox, AlgoApproxPK, AlgoBaseline1, AlgoBaseline2}
+	p.grids = newGridMemo()
 	lim := limiterFor(p)
 	type rowOut struct {
 		row RendezvousRow

@@ -56,9 +56,12 @@ func (h *Harness) runTable6(ctx context.Context, scenarios []Table6Scenario, lim
 		err error
 	}
 	nAlgos := len(AllAlgorithms)
+	grids := newGridMemo() // the algorithms of a block share its grids
 	cells := fanIndexed(lim, len(scenarios)*nAlgos, func(c int) cellOut {
 		sc, algo := scenarios[c/nAlgos], AllAlgorithms[c%nAlgos]
-		cp, cell := startCell(sc.Params, "cell.table6",
+		sp := sc.Params
+		sp.grids = grids
+		cp, cell := startCell(sp, "cell.table6",
 			trace.String("scenario", sc.Label), trace.String("algorithm", algo))
 		defer cell.End()
 		rs, err := h.evaluateWith(ctx, algo, cp, lim)

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"math"
-	"sort"
 
 	"github.com/routeplanning/mamorl/internal/geo"
 )
@@ -39,6 +38,18 @@ type buckets struct {
 	origin geo.Point
 	cells  [][]int32
 	pts    []geo.Point
+	near   []neighbor // knn's selection buffer, reused across queries
+}
+
+// neighbor is one kNN candidate: a point index and its distance.
+type neighbor struct {
+	idx int32
+	d   float64
+}
+
+// closer orders candidates by distance, breaking exact ties by index.
+func (a neighbor) closer(b neighbor) bool {
+	return a.d < b.d || (a.d == b.d && a.idx < b.idx)
 }
 
 func newBuckets(pts []geo.Point) *buckets {
@@ -66,19 +77,17 @@ func (bk *buckets) cellOf(p geo.Point) int {
 }
 
 // knn returns the indices of the k points nearest to point i (excluding i),
-// ordered by increasing distance. It expands a square ring of cells until
-// enough candidates are found, then one extra ring to guarantee correctness
-// within the bucket approximation.
+// ordered by increasing distance, exact ties by index. It expands a square
+// ring of cells until k candidates have been seen, then one extra ring to
+// guarantee correctness within the bucket approximation. Candidates go
+// through a sorted buffer of at most k entries, so a query costs O(seen·k)
+// with k = D_max+4 at most 13, instead of sorting everything seen.
 func (bk *buckets) knn(i, k int) []int32 {
 	p := bk.pts[i]
 	cx := clampInt(int((p.X-bk.origin.X)/bk.cell), 0, bk.cols-1)
 	cy := clampInt(int((p.Y-bk.origin.Y)/bk.cell), 0, bk.rows-1)
 
-	type cand struct {
-		idx int32
-		d   float64
-	}
-	var cands []cand
+	near := bk.near[:0]
 	maxR := bk.cols
 	if bk.rows > maxR {
 		maxR = bk.rows
@@ -103,26 +112,46 @@ func (bk *buckets) knn(i, k int) []int32 {
 					if int(j) == i {
 						continue
 					}
-					cands = append(cands, cand{j, geo.Euclidean(p, bk.pts[j])})
+					near = insertNearest(near, k, neighbor{j, geo.Euclidean(p, bk.pts[j])})
 				}
 			}
 		}
 		if enough >= 0 && r > enough {
 			break
 		}
-		if enough < 0 && len(cands) >= k {
+		// near holds min(seen, k) candidates, so this fires once k
+		// candidates have been seen, however many the buffer kept.
+		if enough < 0 && len(near) >= k {
 			enough = r + 1 // one extra ring for safety
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]int32, len(cands))
-	for j, c := range cands {
+	bk.near = near
+	out := make([]int32, len(near))
+	for j, c := range near {
 		out[j] = c.idx
 	}
 	return out
+}
+
+// insertNearest inserts c into near, which is sorted by closer and holds at
+// most k entries, dropping the farthest entry when near is full.
+func insertNearest(near []neighbor, k int, c neighbor) []neighbor {
+	n := len(near)
+	if n == k {
+		if k == 0 || !c.closer(near[n-1]) {
+			return near
+		}
+		n-- // the last entry falls off
+	} else {
+		near = append(near, c)
+	}
+	j := n
+	for j > 0 && c.closer(near[j-1]) {
+		near[j] = near[j-1]
+		j--
+	}
+	near[j] = c
+	return near
 }
 
 // unionFind is a standard disjoint-set structure used to keep generated
